@@ -221,19 +221,19 @@ let engine_cluster () =
       ~delay:(0.5 +. (float_of_int i *. duration /. 2000.0))
       (fun () ->
         ignore
-          (Ava3.Cluster.run_update_with_retry db ~root
-             ~ops:
-               [
-                 Ava3.Update_exec.Write
-                   { node = root; key = Printf.sprintf "n%d-k%d" root (i mod 8); value = i };
-                 Ava3.Update_exec.Write
-                   {
-                     node = remote;
-                     key = Printf.sprintf "n%d-k%d" remote (i mod 8);
-                     value = i;
-                   };
-               ]
-             ()))
+          (Ava3.Txn_core.retry (fun () ->
+               Ava3.Cluster.run_update db ~root
+                 ~ops:
+                   [
+                     Ava3.Update_exec.Write
+                       { node = root; key = Printf.sprintf "n%d-k%d" root (i mod 8); value = i };
+                     Ava3.Update_exec.Write
+                       {
+                         node = remote;
+                         key = Printf.sprintf "n%d-k%d" remote (i mod 8);
+                         value = i;
+                       };
+                   ])))
   done;
   for i = 0 to 1199 do
     let root = (i * 5) mod nodes in

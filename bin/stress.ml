@@ -86,7 +86,8 @@ let run_one ~seed ~nodes ~crashes ~partitions ~use_tree ~nemesis ~hot_theta
                   Update.Write { node; key; value }
               | Workload.Db_intf.Read { node; key } -> Update.Read { node; key })
         in
-        ignore (Cluster.run_update_with_retry db ~root ~ops ()))
+        ignore
+          (Ava3.Txn_core.retry (fun () -> Cluster.run_update db ~root ~ops)))
   done;
   (* Tree transactions (explicit), when enabled. *)
   if use_tree then

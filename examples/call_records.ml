@@ -84,9 +84,12 @@ let () =
                 ]
             else base
           in
-          match Cluster.run_update_with_retry db ~root:origin ~ops () with
+          match
+            Ava3.Txn_core.retry (fun () ->
+                Cluster.run_update db ~root:origin ~ops)
+          with
           | Update.Committed _, _ -> incr calls_recorded
-          | (Update.Aborted _ | Update.Root_down _), _ -> incr calls_failed);
+          | _ -> incr calls_failed);
       schedule_calls (at +. Sim.Rng.exponential rng ~mean:1.0)
     end
   in

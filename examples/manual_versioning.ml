@@ -121,17 +121,17 @@ let () =
     if at < duration then begin
       Sim.Engine.schedule engine2 ~delay:at (fun () ->
           ignore
-            (Ava3.Cluster.run_update_with_retry db ~root:0
-               ~ops:
-                 [
-                   Ava3.Update_exec.Write
-                     {
-                       node = 0;
-                       key = key (Sim.Rng.int rng2 n_keys);
-                       value = Sim.Rng.int rng2 1000;
-                     };
-                 ]
-               ()));
+            (Ava3.Txn_core.retry (fun () ->
+                 Ava3.Cluster.run_update db ~root:0
+                   ~ops:
+                     [
+                       Ava3.Update_exec.Write
+                         {
+                           node = 0;
+                           key = key (Sim.Rng.int rng2 n_keys);
+                           value = Sim.Rng.int rng2 1000;
+                         };
+                     ])));
       updates2 (at +. Sim.Rng.exponential rng2 ~mean:2.0)
     end
   in

@@ -45,7 +45,7 @@ let () =
       | Update.Committed c ->
           Printf.printf "[%.1f] transfer committed in version %d\n"
             (Sim.Engine.now engine) c.Update.final_version
-      | Update.Aborted _ | Update.Root_down _ ->
+      | Update.(Aborted _ | In_doubt _ | Root_down _) ->
           print_endline "transfer aborted");
 
       (* Queries read a consistent snapshot without locks.  Before any

@@ -68,7 +68,7 @@ let () =
            ~ops:[ Update.Write { node = 0; key = "ticker"; value = 42 } ]
        with
       | Update.Committed _ -> ()
-      | Update.Aborted _ | Update.Root_down _ -> assert false);
+      | Update.(Aborted _ | In_doubt _ | Root_down _) -> assert false);
       Sim.Engine.sleep 100.0;
       (* ...a plain query still sees the old snapshot... *)
       let stale = Cluster.run_query db ~root:1 ~reads:[ (0, "ticker") ] in

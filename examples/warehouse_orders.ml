@@ -75,7 +75,7 @@ let () =
           | Tree.Committed _ ->
               incr placed;
               Workload.Histogram.add order_latency (Sim.Engine.now engine -. t0)
-          | Tree.Aborted _ | Tree.Root_down _ -> incr rejected);
+          | Tree.(Aborted _ | In_doubt _ | Root_down _) -> incr rejected);
       schedule_orders (at +. Sim.Rng.exponential rng ~mean:4.0)
     end
   in

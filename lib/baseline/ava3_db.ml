@@ -67,27 +67,28 @@ let tree_plan ~root ops =
   in
   { Ava3.Tree_txn.at = root; work; children }
 
+(* An [In_doubt] outcome counts as not committed: the client never got
+   its acknowledgement, and the adapter must not rerun it. *)
 let submit_update t ~root ~ops =
-  if t.use_tree then begin
-    let plan = tree_plan ~root ops in
-    let rec attempt n =
-      match Ava3.Cluster.run_tree_update t.db ~plan with
-      | Ava3.Tree_txn.Committed _ -> Workload.Db_intf.Committed
-      | Ava3.Tree_txn.Aborted _ when n < 10 ->
-          Sim.Engine.sleep 5.0;
-          attempt (n + 1)
-      | Ava3.Tree_txn.Aborted _ | Ava3.Tree_txn.Root_down _ ->
-          Workload.Db_intf.Aborted
-    in
-    attempt 1
-  end
-  else
-    match
-      Ava3.Cluster.run_update_with_retry t.db ~root ~ops:(List.map to_op ops) ()
-    with
-    | Ava3.Update_exec.Committed _, _ -> Workload.Db_intf.Committed
-    | (Ava3.Update_exec.Aborted _ | Ava3.Update_exec.Root_down _), _ ->
-        Workload.Db_intf.Aborted
+  let committed =
+    if t.use_tree then
+      let plan = tree_plan ~root ops in
+      match
+        Ava3.Txn_core.retry
+          ~retryable:(function Ava3.Tree_txn.Aborted _ -> true | _ -> false)
+          (fun () -> Ava3.Cluster.run_tree_update t.db ~plan)
+      with
+      | Ava3.Tree_txn.Committed _, _ -> true
+      | _ -> false
+    else
+      let ops = List.map to_op ops in
+      match
+        Ava3.Txn_core.retry (fun () -> Ava3.Cluster.run_update t.db ~root ~ops)
+      with
+      | Ava3.Update_exec.Committed _, _ -> true
+      | _ -> false
+  in
+  if committed then Workload.Db_intf.Committed else Workload.Db_intf.Aborted
 
 let submit_query t ~root ~reads =
   match Ava3.Cluster.run_query t.db ~root ~reads with

@@ -10,14 +10,11 @@ let fresh_txn_id () =
   !c
 
 let retry ~max_attempts ~backoff attempt =
-  let rec go n =
-    match attempt () with
-    | `Committed -> Workload.Db_intf.Committed
-    | `Aborted ->
-        if n >= max_attempts then Workload.Db_intf.Aborted
-        else begin
-          Sim.Engine.sleep backoff;
-          go (n + 1)
-        end
-  in
-  go 1
+  match
+    Sim.Retry.run ~max_attempts
+      ~retryable:(fun outcome -> outcome = `Aborted)
+      ~backoff:(fun _ -> backoff)
+      attempt
+  with
+  | `Committed, _ -> Workload.Db_intf.Committed
+  | `Aborted, _ -> Workload.Db_intf.Aborted

@@ -10,4 +10,5 @@ val retry :
   backoff:float ->
   (unit -> [ `Committed | `Aborted ]) ->
   Workload.Db_intf.update_outcome
-(** Retry transient aborts with a fixed backoff, inside a process. *)
+(** Retry transient aborts with a fixed backoff, inside a process
+    ({!Sim.Retry.run} with the baselines' policy). *)

@@ -82,7 +82,7 @@ let recorded_update rec_ db ~root ops =
           t_ops;
         }
         :: rec_.committed
-  | Aborted _ | Root_down _ -> ()
+  | Aborted _ | In_doubt _ | Root_down _ -> ()
 
 let recorded_query rec_ db ~root reads =
   match Ava3.Cluster.run_query db ~root ~reads with

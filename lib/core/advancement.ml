@@ -32,15 +32,26 @@ let durable_then cs nd complete =
   | () -> complete ()
   | exception Wal.Group_commit.Crashed -> ()
 
+(* Every raise of a node's update version — Phase 1, a commit-time
+   moveToFuture, a §10 piggybacked dispatch — goes through here, so the
+   garbage version always catches up first: a node that lost an unforced
+   Collect record in a crash would otherwise hold four versions.  [true]
+   if [u] moved. *)
+let raise_u cs nd newu =
+  catch_up_gc cs nd ~target:(newu - 3 - gc_lag cs);
+  Node_state.alive nd
+  && Node_state.u nd < newu
+  && begin
+       Node_state.set_u nd newu;
+       note_version_change cs;
+       true
+     end
+
 let advance_u_local cs i ~newu ~complete =
   let nd = node cs i in
   if Node_state.u nd <= newu then begin
-    catch_up_gc cs nd ~target:(newu - 3 - gc_lag cs);
-    if Node_state.u nd < newu then begin
-      Node_state.set_u nd newu;
-      if tracing cs then emit cs ~tag (Printf.sprintf "node%d: u := %d" i newu);
-      note_version_change cs
-    end;
+    if raise_u cs nd newu && tracing cs then
+      emit cs ~tag (Printf.sprintf "node%d: u := %d" i newu);
     (* Wait for local update subtransactions that started on the previous
        version to finish, then acknowledge. *)
     Node_state.await_no_updates nd ~version:(newu - 1);

@@ -28,6 +28,12 @@ val initiate :
     round stalled (e.g. the old coordinator crashed) resumes that round
     instead of starting a new one. *)
 
+val raise_u : 'v Cluster_state.t -> 'v Node_state.t -> int -> bool
+(** [raise_u cs nd newu] raises the node's update version to [newu] if it
+    is lower, first catching garbage collection up to [newu - 3] (the
+    Phase-1 inference rule) so the node never holds more than three
+    versions.  The one path every [u] raise takes; [true] if [u] moved. *)
+
 val in_progress : 'v Cluster_state.t -> bool
 (** True while any node's local state shows an unfinished advancement. *)
 

@@ -20,7 +20,7 @@
             ~ops:[ Write { node = 0; key = "x"; value = 7 } ]
         with
         | Committed _ -> ()
-        | Aborted _ -> ());
+        | Aborted _ | In_doubt _ | Root_down _ -> ());
       Sim.Engine.run engine
     ]} *)
 
@@ -107,18 +107,6 @@ val run_tree_update : 'v t -> plan:'v Tree_txn.plan -> 'v Tree_txn.outcome
 val run_tree_query : 'v t -> plan:Tree_query.plan -> 'v Query_exec.result
 (** Execute a read-only query as a concurrent subquery tree; see
     {!Tree_query.run}. *)
-
-val run_update_with_retry :
-  'v t ->
-  root:int ->
-  ops:'v Update_exec.op list ->
-  ?max_attempts:int ->
-  ?backoff:float ->
-  unit ->
-  'v Update_exec.outcome * int
-(** Retry deadlock-aborted transactions (fresh transaction id, current
-    update version — the paper's restart rule).  Returns the final outcome
-    and the number of attempts made.  Default 10 attempts, backoff 5.0. *)
 
 (** {1 Version advancement} *)
 

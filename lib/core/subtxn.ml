@@ -58,8 +58,8 @@ let check_live t =
 let start cs ~txn_id ~state ~node:nd ~carried =
   check_alive nd;
   if cs.config.Config.piggyback_version && carried > Node_state.u nd then begin
-    Node_state.set_u nd carried;
-    note_version_change cs
+    ignore (Advancement.raise_u cs nd carried : bool);
+    check_alive nd
   end;
   (* §3.4 step 1, atomic: version lookup and counter increment. *)
   let v = Node_state.u nd in
@@ -231,6 +231,11 @@ let prepare cs t =
    commit. *)
 let commit cs t ~final_version =
   check_alive t.sub_node;
+  if (not t.is_finished) && version t < final_version then begin
+    (* The garbage catch-up may yield: re-check liveness after it. *)
+    ignore (Advancement.raise_u cs t.sub_node final_version : bool);
+    check_alive t.sub_node
+  end;
   if t.is_committed then ()
   else if t.is_finished && not t.commit_submitted then
     (* A stale decision: the coordinator gave this transaction up while
@@ -241,13 +246,7 @@ let commit cs t ~final_version =
     ()
   else begin
     if not t.commit_submitted then begin
-      if version t < final_version then begin
-        if Node_state.u t.sub_node < final_version then begin
-          Node_state.set_u t.sub_node final_version;
-          note_version_change cs
-        end;
-        move_to cs t ~newv:final_version ~at_commit:true
-      end;
+      move_to cs t ~newv:final_version ~at_commit:true;
       Wal.Scheme.commit (Node_state.scheme t.sub_node) t.session
         ~final_version;
       (* The store changes and the Commit record are in; the subtransaction

@@ -46,6 +46,7 @@ type 'v commit_info = {
 type 'info txn_outcome = 'info Txn_core.outcome =
   | Committed of 'info
   | Aborted of { txn_id : int; reason : Subtxn.abort_reason }
+  | In_doubt of Txn_core.in_doubt
   | Root_down of { root : int }
       (** The root node was down at submission: no transaction id was
           allocated, nothing ran anywhere (a rejection, not an abort). *)
@@ -53,5 +54,7 @@ type 'info txn_outcome = 'info Txn_core.outcome =
 type 'v outcome = 'v commit_info txn_outcome
 
 val run : 'v Cluster_state.t -> plan:'v plan -> 'v outcome
-(** Execute the tree (inside a simulation process).  Raises
+(** Execute the tree (inside a simulation process).  The commit decision
+    is first delivered down the plan edges; participants that delivery
+    leaves pending are redriven from the root ({!Txn_core.run}).  Raises
     [Invalid_argument] if the plan visits a node twice. *)

@@ -11,10 +11,27 @@ type 'v t = {
   subs : (int, 'v Subtxn.t) Hashtbl.t;
 }
 
+type in_doubt = {
+  txn_id : int;
+  version : int;
+  durable : (int * float) list;
+  reason : abort_reason;
+}
+
 type 'info outcome =
   | Committed of 'info
   | Aborted of { txn_id : int; reason : abort_reason }
+  | In_doubt of in_doubt
   | Root_down of { root : int }
+
+type 'a commit = {
+  value : 'a;
+  txn_id : int;
+  final_version : int;
+  started_at : float;
+  finished_at : float;
+  participants : (int * float) list;
+}
 
 (* Replication: updates run at primaries only.  Callers keep addressing
    partitions (0 .. nparts-1); each partition resolves to its current
@@ -42,10 +59,8 @@ let create cs ~root =
         subs = Hashtbl.create 8;
       }
 
-let txn_id t = t.txn_id
-let root t = t.root
-let started_at t = t.started_at
 let running t = !(t.state) = Subtxn.Running
+let site s = Node_state.id (Subtxn.node s)
 
 (* Highest version any subtransaction currently runs in; carried with new
    subtransaction dispatch when the §10 piggybacking is on. *)
@@ -80,8 +95,7 @@ let find_sub t n = Hashtbl.find_opt t.subs (site_of t.cs n)
 
 let sub_list t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.subs []
-  |> List.sort (fun a b ->
-         compare (Node_state.id (Subtxn.node a)) (Node_state.id (Subtxn.node b)))
+  |> List.sort (fun a b -> compare (site a) (site b))
 
 let sub_versions t =
   Hashtbl.fold (fun _ s acc -> Subtxn.version s :: acc) t.subs []
@@ -91,13 +105,11 @@ let at_node t n f =
   if n = t.root then f (sub t n)
   else Net.Network.call t.cs.net ~src:t.root ~dst:n (fun () -> f (sub t n))
 
-let at_sub_nodes t f =
-  List.map
-    (fun s ->
-      let n = Node_state.id (Subtxn.node s) in
-      if n = t.root then f s
-      else Net.Network.call t.cs.net ~src:t.root ~dst:n (fun () -> f s))
-    (sub_list t)
+(* Run [f] on a registered subtransaction at its own node — by site, not
+   by partition, so a failover since dispatch cannot reroute it. *)
+let at_sub t s f =
+  if site s = t.root then f s
+  else Net.Network.call t.cs.net ~src:t.root ~dst:(site s) (fun () -> f s)
 
 type 'v savepoint = { sp_subs : (int * 'v Subtxn.savepoint) list }
 
@@ -105,16 +117,14 @@ let savepoint t =
   {
     sp_subs =
       List.map
-        (fun s ->
-          let n = Node_state.id (Subtxn.node s) in
-          (n, at_node t n (fun s -> Subtxn.savepoint t.cs s)))
+        (fun s -> (site s, at_node t (site s) (Subtxn.savepoint t.cs)))
         (sub_list t);
   }
 
 let rollback_to t sp =
   List.iter
     (fun s ->
-      let n = Node_state.id (Subtxn.node s) in
+      let n = site s in
       match List.assoc_opt n sp.sp_subs with
       | Some mark -> at_node t n (fun s -> Subtxn.rollback_to t.cs s mark)
       | None ->
@@ -126,11 +136,6 @@ let rollback_to t sp =
           Hashtbl.remove t.subs n)
     (sub_list t);
   Sim.Metrics.record_savepoint_rollback t.cs.metrics ~node:t.root
-
-let release_savepoint _t _sp =
-  (* Merging a scope into its parent keeps every write and lock: savepoints
-     carry no per-scope resources beyond the marks themselves. *)
-  ()
 
 let decide_version t versions =
   let final_version = List.fold_left max 0 versions in
@@ -161,20 +166,153 @@ let pp_reason = function
 let abort_all t reason =
   (* Bookkeeping runs on direct references: sessions at nodes that have
      crashed since are orphans and rolling them back is harmless.
-     Participants that already committed (possible only when a node dies
-     mid-commit-round) are past the point of no return and are left
-     alone by Subtxn.abort. *)
+     Participants that already committed are past the point of no return
+     and are left alone by Subtxn.abort. *)
   t.state := Subtxn.Aborting;
   List.iter (fun s -> Subtxn.abort t.cs s) (sub_list t);
   Sim.Metrics.record_abort t.cs.metrics ~node:t.root reason;
   if tracing t.cs then
     emit t.cs ~tag:"txn"
       (Printf.sprintf "T%d: aborted at root node%d (%s)" t.txn_id t.root
-         (pp_reason reason));
-  Aborted { txn_id = t.txn_id; reason }
+         (pp_reason reason))
 
-let protect t body =
-  try body () with
-  | Subtxn.Txn_abort reason -> abort_all t reason
-  | Net.Network.Node_down n -> abort_all t (`Node_down n)
-  | Net.Network.Rpc_timeout n -> abort_all t (`Rpc_timeout n)
+(* The three transaction-fatal exceptions, as an abort reason. *)
+let catch f =
+  match f () with
+  | v -> Ok v
+  | exception Subtxn.Txn_abort reason -> Error reason
+  | exception Net.Network.Node_down n -> Error (`Node_down n)
+  | exception Net.Network.Rpc_timeout n -> Error (`Rpc_timeout n)
+
+(* Phase 2, driven to completion by the coordinator.  Once the version
+   decision is taken, aborting a participant is no longer an option: the
+   decision is redriven ([Subtxn.commit] is idempotent, and refuses stale
+   deliveries to a participant that rolled back) until every participant's
+   commit record is durable or its node has died and lost it — a dead
+   node's unforced records are gone and recovery presumes abort, so an
+   uncommitted participant seen down is never redriven (its in-memory
+   state does not survive the crash).  Returns the last failure seen. *)
+let drive_commit t ~final_version ~last =
+  let subs = sub_list t in
+  let lost = ref [] and last = ref last in
+  let lose sub reason =
+    lost := sub :: !lost;
+    last := reason
+  in
+  let pending sub = not (Subtxn.committed sub || List.memq sub !lost) in
+  let rec go round =
+    List.iter
+      (fun sub ->
+        if pending sub && not (Node_state.alive (Subtxn.node sub)) then
+          lose sub (`Node_down (site sub)))
+      subs;
+    match List.filter pending subs with
+    | [] -> ()
+    | _ when round >= 40 -> ()
+    | ps ->
+        List.iter
+          (fun sub ->
+            if pending sub then
+              match
+                catch (fun () ->
+                    at_sub t sub (fun sub ->
+                        Subtxn.commit t.cs sub ~final_version))
+              with
+              | Ok () -> ()
+              | Error (`Node_down m as r) when m = site sub -> lose sub r
+              | Error r -> last := r)
+          ps;
+        if List.exists pending subs then begin
+          Sim.Engine.sleep 2.0;
+          go (round + 1)
+        end
+  in
+  go 0;
+  !last
+
+(* Each participant releases its shared locks and reports the version it
+   reached: the paper's prepared(V(T_i)). *)
+let prepare_round t =
+  List.map (fun s -> at_sub t s (Subtxn.prepare t.cs)) (sub_list t)
+
+(* The whole lifecycle: run the body, prepare, decide [V(T)] — a failure up
+   to here is a clean abort — then phase 2.  [deliver] is the executor's
+   own first commit delivery (the tree's, down the plan edges); whatever it
+   leaves pending is redriven from the root like any other. *)
+let run cs ~root ?(prepared = prepare_round) ?deliver body =
+  match create cs ~root with
+  | None -> Root_down { root }
+  | Some t -> (
+      let abort reason =
+        abort_all t reason;
+        Aborted { txn_id = t.txn_id; reason }
+      in
+      match
+        catch (fun () ->
+            let value = body t in
+            (value, decide_version t (prepared t)))
+      with
+      | Error reason -> abort reason
+      | Ok (value, final_version) ->
+          let first =
+            match deliver with
+            | Some deliver -> catch (fun () -> deliver t ~final_version)
+            | None -> Ok ()
+          in
+          let last =
+            match first with Ok () -> `Rpc_timeout t.root | Error r -> r
+          in
+          let reason = drive_commit t ~final_version ~last in
+          let subs = sub_list t in
+          let durable =
+            List.filter_map
+              (fun s ->
+                if Subtxn.committed s then Some (site s, Subtxn.committed_at s)
+                else None)
+              subs
+          in
+          (* Decision in, force pending, node alive: it can still become
+             durable on its own, so it is never grounds to rerun. *)
+          let unresolved s =
+            Subtxn.commit_submitted s
+            && (not (Subtxn.committed s))
+            && Node_state.alive (Subtxn.node s)
+          in
+          if List.length durable = List.length subs then begin
+            finish_commit t ~final_version;
+            Committed
+              {
+                value;
+                txn_id = t.txn_id;
+                final_version;
+                started_at = t.started_at;
+                finished_at = now cs;
+                participants = durable;
+              }
+          end
+          else if durable <> [] || List.exists unresolved subs then begin
+            (* Some participants are past the point of no return while the
+               rest died with their records unforced — the model's
+               atomicity edge for a node dying mid-commit-round.  A rerun
+               would apply the durable part twice. *)
+            abort_all t reason;
+            In_doubt
+              { txn_id = t.txn_id; version = final_version; durable; reason }
+          end
+          else
+            (* Nothing committed and nothing still can: stale deliveries
+               are refused at the participant, so a rerun is clean. *)
+            abort reason)
+
+let map f = function
+  | Committed c -> Committed (f c)
+  | Aborted { txn_id; reason } -> Aborted { txn_id; reason }
+  | In_doubt d -> In_doubt d
+  | Root_down { root } -> Root_down { root }
+
+let retry ?(max_attempts = 10) ?(backoff = 5.0)
+    ?(retryable =
+      function
+      | Aborted { reason = `Deadlock | `Rpc_timeout _; _ } -> true | _ -> false)
+    attempt =
+  Sim.Retry.run ~max_attempts ~retryable ~backoff:(fun _ -> backoff) attempt

@@ -1,53 +1,94 @@
-(** Shared lifecycle of a distributed update transaction — the runtime
-    under both the flat executor ({!Update_exec}) and the R*-style tree
-    executor ({!Tree_txn}).
+(** The one commit path of a distributed update transaction, under the
+    flat executor ({!Update_exec}), the R*-style tree executor
+    ({!Tree_txn}) and the session layer.
 
-    A [Txn_core.t] owns what the two drivers used to duplicate: the
-    subtransaction registry keyed by node, the carried-version
-    computation for §10 piggybacking, the orphaned-dispatch guard, the
-    prepared-version maximum with mismatch accounting, the commit
-    bookkeeping, and [abort_all] with its reason pretty-printer.  The
-    drivers differ only in {e routing}: the flat executor ships each
-    operation from the root, the tree executor fans subtransactions out
-    along plan edges — both express that with {!at_node}/{!register}
-    plus their own traversal, and end by running the shared decision
-    logic. *)
+    {!run} owns the lifecycle: the subtransaction registry, the
+    orphaned-dispatch guard, the prepare round, the [V(T)] decision with
+    mismatch accounting, and a phase 2 that is {e redriven}, never rerun
+    — a failed commit delivery is retried ([Subtxn.commit] is
+    idempotent) until every commit record is durable or its node died and
+    lost it.  Callers differ only in routing: flat executors and sessions
+    ship each operation from the root ({!at_node}); the tree executor
+    fans out along plan edges ({!register}) and delivers its first commit
+    the same way. *)
 
 type abort_reason = Subtxn.abort_reason
 
 type 'v t
 
-(** Outcome of one update transaction, shared by both executors
-    ([Update_exec] and [Tree_txn] re-export it with their own
-    [commit_info]).  [Root_down] is the documented sentinel for a
-    transaction rejected before it began because its root node was
-    down: no transaction id was allocated, nothing ran anywhere, and it
-    is counted as a rejection rather than an abort. *)
+(** A commit round that failed after the decision with some participants
+    durable, or still able to become durable, and the rest lost in a
+    crash — the model's atomicity edge for a node dying mid-commit-round.
+    A rerun would apply the durable part twice. *)
+type in_doubt = {
+  txn_id : int;
+  version : int;  (** the decided [V(T)] *)
+  durable : (int * float) list;  (** (site, local commit time) *)
+  reason : abort_reason;
+}
+
+(** [Root_down] rejects a transaction whose root node was down: no id was
+    allocated, nothing ran, and it counts as a rejection, not an abort. *)
 type 'info outcome =
   | Committed of 'info
   | Aborted of { txn_id : int; reason : abort_reason }
+      (** Nothing committed and nothing still can: the failure came before
+          the decision, or every participant rolled back or died
+          unforced.  Safe to rerun. *)
+  | In_doubt of in_doubt
   | Root_down of { root : int }
 
-val create : 'v Cluster_state.t -> root:int -> 'v t option
-(** Begin a transaction rooted at [root]: allocate its id, stamp its
-    start time, create the shared state cell.  [None] if the root node
-    is down (recorded as a root-down rejection in the metrics); callers
-    map that to [Root_down]. *)
+type 'a commit = {
+  value : 'a;  (** what the body returned *)
+  txn_id : int;
+  final_version : int;  (** [V(T)] *)
+  started_at : float;
+  finished_at : float;
+  participants : (int * float) list;
+      (** (site, local commit time) per subtransaction: when its locks
+          were released, which orders same-version conflicts *)
+}
 
-val txn_id : _ t -> int
-val root : _ t -> int
-val started_at : _ t -> float
+val run :
+  'v Cluster_state.t ->
+  root:int ->
+  ?prepared:('v t -> int list) ->
+  ?deliver:('v t -> final_version:int -> unit) ->
+  ('v t -> 'a) ->
+  'a commit outcome
+(** [run cs ~root body]: [body] performs the operations; [prepared]
+    (default: a prepare round from the root) reports every [V(T_i)]; the
+    maximum is decided as [V(T)]; phase 2 commits it.  A fatal failure
+    ([Subtxn.Txn_abort], [Net.Network.Node_down] or [Rpc_timeout]) before
+    the decision rolls every participant back.  [deliver] is an
+    executor's own first commit delivery; whatever it leaves pending is
+    redriven.  Must run inside a simulation process. *)
+
+val map : ('a -> 'b) -> 'a outcome -> 'b outcome
+(** Rewrite the [Committed] payload. *)
+
+val retry :
+  ?max_attempts:int ->
+  ?backoff:float ->
+  ?retryable:('info outcome -> bool) ->
+  (unit -> 'info outcome) ->
+  'info outcome * int
+(** The workload adapters' policy over {!Sim.Retry.run}: up to
+    [max_attempts] (default 10) attempts, [backoff] (default 5.0) apart,
+    each a fresh transaction in the current update version.  By default
+    only a clean [Deadlock] or [Rpc_timeout] abort is rerun.  Returns the
+    last outcome and the attempts made. *)
+
+val pp_reason : abort_reason -> string
+
+(** {1 Inside the body} *)
 
 val running : _ t -> bool
 (** Whether the shared state cell is still [Running].  A lock denial
     ([Txn_abort `Deadlock] from {!Subtxn}) leaves it [Running] — the
     requester was refused but nothing was rolled back yet, so a savepoint
-    rollback can still break the cycle; once {!abort_all} has run it is
-    not. The session layer's nested-scope handler keys on this. *)
-
-val carried : 'v t -> int
-(** Highest version any registered subtransaction currently runs in —
-    the version piggybacked on new dispatch (§10). *)
+    rollback can still break the cycle.  The session layer's
+    nested-scope handler keys on this. *)
 
 val register : 'v t -> int -> carried:int -> 'v Subtxn.t
 (** Start a subtransaction at node [n] carrying [carried], and enter it
@@ -59,13 +100,10 @@ val register : 'v t -> int -> carried:int -> 'v Subtxn.t
 
 val sub : 'v t -> int -> 'v Subtxn.t
 (** The subtransaction at node [n], registering it with the current
-    {!carried} version on first use (the flat executor's lazy
-    dispatch). *)
+    carried version — the highest any registered subtransaction runs in
+    — on first use (lazy dispatch). *)
 
 val find_sub : 'v t -> int -> 'v Subtxn.t option
-
-val sub_list : 'v t -> 'v Subtxn.t list
-(** All registered subtransactions in node-id order. *)
 
 val sub_versions : 'v t -> int list
 (** Current [V(T_i)] of every registered subtransaction. *)
@@ -74,10 +112,6 @@ val at_node : 'v t -> int -> ('v Subtxn.t -> 'a) -> 'a
 (** Run [f] on the node's subtransaction (registering it on first use),
     at the node: directly when it is the root, through an RPC
     otherwise. *)
-
-val at_sub_nodes : 'v t -> ('v Subtxn.t -> 'a) -> 'a list
-(** Run [f] on every registered subtransaction at its node, in node-id
-    order — the prepare and commit rounds of the flat executor. *)
 
 type 'v savepoint
 (** A transaction-wide mark: one {!Subtxn.savepoint} per subtransaction
@@ -90,34 +124,5 @@ val savepoint : 'v t -> 'v savepoint
 val rollback_to : 'v t -> 'v savepoint -> unit
 (** Partial abort back to the mark: subtransactions that existed then roll
     back to their marks; ones dispatched since are aborted outright and
-    removed from the registry.  The generalization of {!abort_all}'s
-    all-or-nothing fan-out (PROTOCOL.md "Savepoints").  An RPC failure
-    while rolling back raises and so aborts the whole transaction. *)
-
-val release_savepoint : 'v t -> 'v savepoint -> unit
-(** Merge the scope into its parent — keeps all writes and locks (no-op;
-    exists so the session layer's scope discipline reads explicitly). *)
-
-val decide_version : 'v t -> int list -> int
-(** The transaction's global version [V(T)]: the maximum of the
-    prepared versions.  A disagreement among them is counted as a
-    version mismatch (the situation the modified 2PC exists for) and,
-    in the synchronous-advancement baseline
-    ({!Config.abort_on_version_mismatch}), raises [Subtxn.Txn_abort
-    `Version_mismatch]. *)
-
-val finish_commit : 'v t -> final_version:int -> unit
-(** Mark the transaction finished, count the commit against the root
-    node, emit the trace line. *)
-
-val pp_reason : abort_reason -> string
-
-val abort_all : 'v t -> abort_reason -> 'info outcome
-(** Roll back every registered subtransaction (node-id order), count the
-    abort with its reason against the root node, emit the trace line;
-    returns the [Aborted] outcome. *)
-
-val protect : 'v t -> (unit -> 'info outcome) -> 'info outcome
-(** Run the driver's body, converting the three transaction-fatal
-    exceptions ([Subtxn.Txn_abort], [Net.Network.Node_down],
-    [Net.Network.Rpc_timeout]) into {!abort_all}. *)
+    removed from the registry.  An RPC failure while rolling back raises
+    and so aborts the whole transaction. *)

@@ -1,5 +1,3 @@
-open Cluster_state
-
 type 'v op =
   | Read of { node : int; key : string }
   | Write of { node : int; key : string; value : 'v }
@@ -7,13 +5,6 @@ type 'v op =
   | Delete of { node : int; key : string }
   | Begin_at of int
   | Pause of float
-
-let op_node = function
-  | Read { node; _ } | Write { node; _ } | Read_modify_write { node; _ }
-  | Delete { node; _ } ->
-      Some node
-  | Begin_at node -> Some node
-  | Pause _ -> None
 
 type abort_reason = Subtxn.abort_reason
 
@@ -31,6 +22,7 @@ type 'v commit_info = {
 type 'info txn_outcome = 'info Txn_core.outcome =
   | Committed of 'info
   | Aborted of { txn_id : int; reason : abort_reason }
+  | In_doubt of Txn_core.in_doubt
   | Root_down of { root : int }
 
 type 'v outcome = 'v commit_info txn_outcome
@@ -39,11 +31,9 @@ type 'v outcome = 'v commit_info txn_outcome
    remote ones over the network.  Behaviourally this is an R* transaction
    whose children each execute one batch of work at a time; the concurrent
    tree model lives in {!Tree_txn}.  The lifecycle — registry, orphan
-   guard, prepare/commit rounds, abort — is {!Txn_core}'s. *)
+   guard, prepare, decision, redriven commit — is {!Txn_core}'s. *)
 let run cs ~root ~ops =
-  match Txn_core.create cs ~root with
-  | None -> Root_down { root }
-  | Some t ->
+  Txn_core.run cs ~root (fun t ->
       let reads = ref [] in
       let exec = function
         | Read { node = n; key } ->
@@ -58,27 +48,15 @@ let run cs ~root ~ops =
         | Begin_at n -> Txn_core.at_node t n (fun _sub -> ())
         | Pause d -> Sim.Engine.sleep d
       in
-      Txn_core.protect t (fun () ->
-          ignore (Txn_core.sub t root : 'v Subtxn.t);
-          List.iter exec ops;
-          (* Prepare round: each participant releases its shared locks and
-             reports the version it reached (the paper's prepared(V(T_i))). *)
-          let prepared =
-            Txn_core.at_sub_nodes t (fun sub -> Subtxn.prepare cs sub)
-          in
-          let final_version = Txn_core.decide_version t prepared in
-          let participants =
-            Txn_core.at_sub_nodes t (fun sub ->
-                Subtxn.commit cs sub ~final_version;
-                (Node_state.id (Subtxn.node sub), now cs))
-          in
-          Txn_core.finish_commit t ~final_version;
-          Committed
-            {
-              txn_id = Txn_core.txn_id t;
-              final_version;
-              reads = List.rev !reads;
-              started_at = Txn_core.started_at t;
-              finished_at = now cs;
-              participants;
-            })
+      ignore (Txn_core.sub t root : 'v Subtxn.t);
+      List.iter exec ops;
+      List.rev !reads)
+  |> Txn_core.map (fun (c : _ Txn_core.commit) ->
+         {
+           txn_id = c.txn_id;
+           final_version = c.final_version;
+           reads = c.value;
+           started_at = c.started_at;
+           finished_at = c.finished_at;
+           participants = c.participants;
+         })

@@ -20,8 +20,6 @@ type 'v op =
           node j well before its first data access there). *)
   | Pause of float  (** Local computation time at the root. *)
 
-val op_node : _ op -> int option
-
 type abort_reason = Subtxn.abort_reason
 
 type 'v commit_info = {
@@ -40,6 +38,7 @@ type 'v commit_info = {
 type 'info txn_outcome = 'info Txn_core.outcome =
   | Committed of 'info
   | Aborted of { txn_id : int; reason : abort_reason }
+  | In_doubt of Txn_core.in_doubt
   | Root_down of { root : int }
       (** The root node was down when the transaction was submitted: no
           transaction id was allocated, nothing ran anywhere.  Counted
@@ -49,6 +48,9 @@ type 'v outcome = 'v commit_info txn_outcome
 
 val run : 'v Cluster_state.t -> root:int -> ops:'v op list -> 'v outcome
 (** Execute the operation list as one distributed transaction rooted at
-    [root].  Must be called inside a simulation process.  On abort, all
-    subtransactions are rolled back, their locks released and counters
-    decremented; the caller decides whether to retry. *)
+    [root].  Must be called inside a simulation process.  On [Aborted],
+    all subtransactions are rolled back, their locks released and
+    counters decremented; the caller decides whether to retry
+    ({!Txn_core.retry}).  A commit round that fails after the version
+    decision is redriven, and reports [Committed] or [In_doubt], never
+    [Aborted] with a participant durable. *)

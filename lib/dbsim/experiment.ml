@@ -1113,10 +1113,12 @@ let scalability ?(seed = 67L) ?domains () =
                       value = Sim.Rng.int rng 1000;
                     })
             in
-            match Ava3.Cluster.run_update_with_retry db ~root ~ops () with
+            match
+              Ava3.Txn_core.retry (fun () ->
+                  Ava3.Cluster.run_update db ~root ~ops)
+            with
             | Ava3.Update_exec.Committed _, _ -> incr committed
-            | (Ava3.Update_exec.Aborted _ | Ava3.Update_exec.Root_down _), _ ->
-                ()))
+            | _ -> ()))
       (List.init
          (int_of_float (spec.Driver.update_rate *. duration))
          (fun i -> float_of_int i /. spec.Driver.update_rate));
@@ -1209,7 +1211,7 @@ let tree_vs_flat ?(seed = 71L) ?domains () =
             in
             match Ava3.Cluster.run_tree_update db ~plan with
             | Ava3.Tree_txn.Committed _ -> done_ ()
-            | Ava3.Tree_txn.Aborted _ | Ava3.Tree_txn.Root_down _ -> ()
+            | Ava3.Tree_txn.(Aborted _ | In_doubt _ | Root_down _) -> ()
           end
           else
             match
@@ -1221,7 +1223,7 @@ let tree_vs_flat ?(seed = 71L) ?domains () =
                            { node = i + 1; key = Printf.sprintf "k%d" (i + 1); value = s }))
             with
             | Ava3.Update_exec.Committed _ -> done_ ()
-            | Ava3.Update_exec.Aborted _ | Ava3.Update_exec.Root_down _ -> ())
+            | Ava3.Update_exec.(Aborted _ | In_doubt _ | Root_down _) -> ())
     done;
     Sim.Engine.run engine;
     Report.record_metrics ~experiment:"E8c-tree-vs-flat"
@@ -1320,8 +1322,8 @@ let faults_one ?(seed = 73L) ~scenario ~crashes ~partitions ~slow_links () =
         | Some k -> ignore (Ava3.Cluster.advance db ~coordinator:k)
         | None -> ())
   done;
-  (* Updates, with retry on transient aborts (deadlock, timeout).  The
-     retry loop is inlined so timed-out *attempts* are counted even when a
+  (* Updates, with retry on transient aborts (deadlock, timeout).  Each
+     attempt is inspected so timed-out *attempts* are counted even when a
      later attempt commits — that is the work the faults cost us. *)
   let commits = ref 0 and aborts = ref 0 and timeout_attempts = ref 0 in
   for u = 0 to int_of_float (horizon /. 8.0) - 1 do
@@ -1335,29 +1337,20 @@ let faults_one ?(seed = 73L) ~scenario ~crashes ~partitions ~slow_links () =
               Ava3.Update_exec.Write
                 { node = n; key = key n; value = Sim.Rng.int rng 1000 })
         in
-        let rec attempt n =
-          match Ava3.Cluster.run_update db ~root ~ops with
-          | Ava3.Update_exec.Committed _ -> incr commits
-          | Ava3.Update_exec.Aborted { reason; _ } ->
-              (match reason with
-              | `Rpc_timeout _ -> incr timeout_attempts
-              | _ -> ());
-              let transient =
-                match reason with
-                | `Deadlock | `Rpc_timeout _ -> true
-                | `Node_down _ | `Version_mismatch -> false
-              in
-              if transient && n < 5 then begin
-                Sim.Engine.sleep 12.0;
-                attempt (n + 1)
-              end
-              else incr aborts
-          | Ava3.Update_exec.Root_down _ ->
-              (* The submission root itself was down: counted with the
-                 aborts, as the pre-sentinel Node_down outcome was. *)
-              incr aborts
+        let attempt () =
+          let outcome = Ava3.Cluster.run_update db ~root ~ops in
+          (match outcome with
+          | Ava3.Update_exec.Aborted { reason = `Rpc_timeout _; _ } ->
+              incr timeout_attempts
+          | _ -> ());
+          outcome
         in
-        attempt 1)
+        match Ava3.Txn_core.retry ~max_attempts:5 ~backoff:12.0 attempt with
+        | Ava3.Update_exec.Committed _, _ -> incr commits
+        | _ ->
+            (* A down submission root is counted with the aborts, as the
+               pre-sentinel Node_down outcome was. *)
+            incr aborts)
   done;
   (* Queries: never blocked by advancement; they fail only when their root
      is down or a remote read is cut off mid-fault. *)
@@ -1536,7 +1529,7 @@ let batching_one ?(seed = 211L) ~label ~gc_window ~rpc_window () =
               | Update.Committed info ->
                   incr commits;
                   Histogram.add lat (info.Update.finished_at -. info.Update.started_at)
-              | Update.Aborted _ | Update.Root_down _ -> ());
+              | Update.(Aborted _ | In_doubt _ | Root_down _) -> ());
               loop (i + 1)
             end
           in
@@ -1691,7 +1684,9 @@ let hierarchy_one ~seed ~nodes ~mode ~tree_arity ~partition_aware =
                 { node = b; key = kb; value = Sim.Rng.int rng 1000 };
             ]
           in
-          ignore (Ava3.Cluster.run_update_with_retry db ~root ~ops ())))
+          ignore
+            (Ava3.Txn_core.retry (fun () ->
+                 Ava3.Cluster.run_update db ~root ~ops))))
     (Workload.Driver.arrival_times rng
        ~rate:(0.02 *. float_of_int data_sites)
        ~duration ~storm_factor:3.0 ~storm_period:150.0 ());
@@ -1891,23 +1886,12 @@ let replication_one ?(seed = 97L) ~replicas ~horizon () =
               let n = Sim.Rng.int rng nparts in
               Update.Write { node = n; key = key n; value = Sim.Rng.int rng 1000 })
         in
-        let rec attempt n =
-          match Ava3.Cluster.run_update db ~root ~ops with
-          | Update.Committed _ -> incr commits
-          | Update.Aborted { reason; _ } ->
-              let transient =
-                match reason with
-                | `Deadlock | `Rpc_timeout _ -> true
-                | `Node_down _ | `Version_mismatch -> false
-              in
-              if transient && n < 5 then begin
-                Sim.Engine.sleep 10.0;
-                attempt (n + 1)
-              end
-              else incr aborts
-          | Update.Root_down _ -> incr aborts
-        in
-        attempt 1)
+        match
+          Ava3.Txn_core.retry ~max_attempts:5 ~backoff:10.0 (fun () ->
+              Ava3.Cluster.run_update db ~root ~ops)
+        with
+        | Update.Committed _, _ -> incr commits
+        | _ -> incr aborts)
   done;
   (* Queries: closed loop, every read remote so it goes through the
      router.  Throughput is how many complete before the horizon. *)

@@ -54,7 +54,7 @@ let run ?(eager_handoff = false) ?(long_update_duration = 50.0)
              ]
        with
       | Update.Committed _ -> ()
-      | Update.Aborted _ | Update.Root_down _ ->
+      | Update.(Aborted _ | In_doubt _ | Root_down _) ->
           failwith "figure1: long update aborted");
       long_update_done := Sim.Engine.now engine);
   (* The long version-v query, active when advancement starts. *)
@@ -97,7 +97,7 @@ let run ?(eager_handoff = false) ?(long_update_duration = 50.0)
         with
         | Update.Committed _ ->
             short_update_max := max !short_update_max (Sim.Engine.now engine -. t0)
-        | Update.Aborted _ | Update.Root_down _ -> ());
+        | Update.(Aborted _ | In_doubt _ | Root_down _) -> ());
     Sim.Engine.schedule engine ~delay:(at +. 3.0) (fun () ->
         let t0 = Sim.Engine.now engine in
         ignore

@@ -120,7 +120,7 @@ let recording_run ?(seed = 101L) ?(nodes = 3) ?(transactions = 60)
                 t_ops = List.rev !cell @ blind;
               }
               :: !committed
-        | Update.Aborted _ | Update.Root_down _ -> ())
+        | Update.(Aborted _ | In_doubt _ | Root_down _) -> ())
   done;
   (* Queries. *)
   for _ = 1 to queries do

@@ -101,7 +101,7 @@ let run ?(scheme = Wal.Scheme.No_undo) () =
   let commit_of label r =
     match !r with
     | Some (Update.Committed c) -> Some c
-    | Some (Update.Aborted _ | Update.Root_down _) ->
+    | Some (Update.(Aborted _ | In_doubt _ | Root_down _)) ->
         fail "%s aborted" label;
         None
     | None ->

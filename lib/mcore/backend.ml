@@ -349,7 +349,7 @@ let attempt w ~root ~ops ~marker =
     in
     if List.exists (fun sub -> sub.version <> final_version) subs_sorted then
       Sim.Metrics.record_version_mismatch w.m ~node:root;
-    (* Commit round, in site order like Txn_core.at_sub_nodes. *)
+    (* Commit round, in site order like Txn_core.run's. *)
     List.iter
       (fun sub ->
         let s = sub.sub_site in

@@ -158,7 +158,7 @@ let run_des ?(gc_renumber = true) w =
         match in_process (fun () -> Ava3.Cluster.run_update db ~root ~ops) with
         | Ava3.Update_exec.Committed ci ->
             Committed { final_version = ci.final_version; reads = ci.reads }
-        | Ava3.Update_exec.Aborted _ | Ava3.Update_exec.Root_down _ -> Aborted)
+        | Ava3.Update_exec.(Aborted _ | In_doubt _ | Root_down _) -> Aborted)
     | Query { root; reads } ->
         let r = in_process (fun () -> Ava3.Cluster.run_query db ~root ~reads) in
         Queried { version = r.version; values = r.values }

@@ -79,9 +79,7 @@ let nested c f =
   let sp = Txn_core.savepoint c.txn in
   let saved_reads = !(c.reads) in
   match f () with
-  | v ->
-      Txn_core.release_savepoint c.txn sp;
-      Ok v
+  | v -> Ok v
   | exception Rollback ->
       Txn_core.rollback_to c.txn sp;
       (* Reads made inside the scope are void (see Subtxn.rollback_to);
@@ -118,206 +116,85 @@ type ('v, 'a) outcome =
       version : int;
     }
 
-(* Phase 2, driven to completion by the session.  Once the version
-   decision is taken, aborting a participant is no longer an option: the
-   decision is redriven ([Subtxn.commit] is idempotent, and refuses stale
-   deliveries to a participant that rolled back) until every participant's
-   commit record is durable or its node has died and lost it — a dead
-   node's unforced records are gone and recovery presumes abort, so an
-   uncommitted participant seen down is never redriven (its in-memory
-   state does not survive the crash).  Rerunning the client function is
-   safe only when NO participant committed and none can still resolve. *)
-let drive_commit s t ~final_version =
-  let cs = s.cs in
-  let subs = Txn_core.sub_list t in
-  let lost = ref [] in
-  let last = ref (`Rpc_timeout (Txn_core.root t)) in
-  let participants = ref [] in
-  let note_participant sub =
-    let n = Ava3.Node_state.id (Subtxn.node sub) in
-    if not (List.mem_assoc n !participants) then
-      participants := (n, Subtxn.committed_at sub) :: !participants
-  in
-  let pending () =
-    List.filter
-      (fun sub -> (not (Subtxn.committed sub)) && not (List.memq sub !lost))
-      subs
-  in
-  let observe sub =
-    if not (Ava3.Node_state.alive (Subtxn.node sub)) then begin
-      lost := sub :: !lost;
-      last := `Node_down (Ava3.Node_state.id (Subtxn.node sub))
-    end
-  in
-  let max_rounds = 40 in
-  let rec go round =
-    List.iter observe (pending ());
-    match pending () with
-    | [] -> ()
-    | _ when round >= max_rounds -> ()
-    | ps ->
-        List.iter
-          (fun sub ->
-            if (not (Subtxn.committed sub)) && not (List.memq sub !lost)
-            then begin
-              let n = Ava3.Node_state.id (Subtxn.node sub) in
-              match
-                Txn_core.at_node t n (fun sub ->
-                    Subtxn.commit cs sub ~final_version)
-              with
-              | () -> if Subtxn.committed sub then note_participant sub
-              | exception Net.Network.Rpc_timeout m -> last := `Rpc_timeout m
-              | exception Net.Network.Node_down m ->
-                  last := `Node_down m;
-                  if m = n then lost := sub :: !lost
-              | exception Subtxn.Txn_abort r -> (
-                  last := r;
-                  match r with
-                  | `Node_down m when m = n -> lost := sub :: !lost
-                  | _ -> ())
-            end)
-          ps;
-        if pending () <> [] then begin
-          Sim.Engine.sleep 2.0;
-          go (round + 1)
-        end
-  in
-  go 0;
-  List.iter note_participant (List.filter Subtxn.committed subs);
-  (* An unresolved participant — decision in, force pending, node alive —
-     can still become durable on its own, so it is never grounds to rerun. *)
-  let unresolved sub =
-    Subtxn.commit_submitted sub
-    && (not (Subtxn.committed sub))
-    && Ava3.Node_state.alive (Subtxn.node sub)
-  in
-  if List.for_all Subtxn.committed subs then `All (List.rev !participants)
-  else if List.exists Subtxn.committed subs || List.exists unresolved subs
-  then `Partial (List.rev !participants, !last)
-  else `None !last
-
-(* One attempt: the Update_exec.run lifecycle driven interactively by the
-   client function, except that the commit fan-out runs outside
-   [Txn_core.protect] — after the decision, failures are redriven rather
-   than turned into aborts.  [`Failed (failure, durable, version,
-   retryable)] carries the retry verdict so [txn] stays policy-only. *)
-let attempt s ~root f =
-  match Txn_core.create s.cs ~root with
-  | None -> `Failed (Root_down root, [], 0, true)
-  | Some t -> (
-      let c = { session = s; txn = t; reads = ref [] } in
-      let value = ref None in
-      let final_version = ref 0 in
-      let client_gave_up = ref false in
-      let out =
-        Txn_core.protect t (fun () ->
-            ignore (Txn_core.sub t root : _ Subtxn.t);
-            (match f c with
-            | v -> value := Some v
-            | exception Rollback ->
-                (* Rollback outside any scope: the client abandoned the
-                   transaction itself.  Abort (recorded deadlock-class)
-                   and never retry — rerunning would just abandon again. *)
-                client_gave_up := true;
-                raise (Subtxn.Txn_abort `Deadlock));
-            let prepared =
-              Txn_core.at_sub_nodes t (fun sub -> Subtxn.prepare s.cs sub)
-            in
-            final_version := Txn_core.decide_version t prepared;
-            Txn_core.Committed ())
-      in
-      match out with
-      | Txn_core.Root_down _ -> assert false (* create already checked *)
-      | Txn_core.Aborted { reason; _ } ->
-          (* Pre-decision failure: [abort_all] rolled every participant
-             back and stale commit messages cannot exist yet, so a rerun
-             is clean. *)
-          `Failed (Aborted reason, [], 0, not !client_gave_up)
-      | Txn_core.Committed () -> (
-          let fv = !final_version in
-          match drive_commit s t ~final_version:fv with
-          | `All participants ->
-              Txn_core.finish_commit t ~final_version:fv;
-              `Committed
-                ( Option.get !value,
-                  Txn_core.txn_id t,
-                  fv,
-                  List.rev !(c.reads),
-                  Cluster_state.now s.cs,
-                  participants )
-          | `Partial (durable, reason) ->
-              (* Some participants are past the point of no return while
-                 others died with their records unforced — the model's
-                 acknowledged atomicity edge (a node dying mid-commit
-                 round).  Never retryable: a rerun would double-apply the
-                 durable part.  [durable] tells the caller exactly which
-                 homes hold the writes. *)
-              ignore (Txn_core.abort_all t reason : unit Txn_core.outcome);
-              `Failed (Aborted reason, durable, fv, false)
-          | `None reason ->
-              (* No participant committed and none still can: stale
-                 deliveries are refused at the participant, so a rerun
-                 cannot double-apply anything. *)
-              ignore (Txn_core.abort_all t reason : unit Txn_core.outcome);
-              `Failed (Aborted reason, [], fv, true)))
-
 let backoff_of s ~config k =
   let jitter = 0.5 +. Sim.Rng.float s.session_rng 1.0 in
   config.Config.retry_backoff_base *. Float.pow 2.0 (float_of_int k) *. jitter
 
-(* Generic over the failure payload ['f]: [txn] threads the durable
-   participant list through it, queries just use {!failure}. *)
-let retry_loop s ?retries
-    (run : root:int -> [ `Ok of 'a | `Failed of 'f * bool ]) =
+(* The session's policy over {!Sim.Retry.run}: each attempt checks out the
+   next pooled coordinator, and a retry sleeps a seeded, jittered
+   exponential backoff recorded against the root that failed. *)
+let retry_loop s ?retries ~retryable run =
   let config = Cluster.config s.db in
   let budget =
     match retries with Some r -> r | None -> config.Config.max_retries
   in
-  let rec go k =
-    let root = next_root s in
-    match run ~root with
-    | `Ok v -> `Ok (v, k + 1)
-    | `Failed (last, retryable) ->
-        if retryable && k < budget then begin
-          let backoff = backoff_of s ~config k in
-          Sim.Metrics.record_session_retry s.cs.Cluster_state.metrics
-            ~node:root ~backoff;
-          if backoff > 0.0 then Sim.Engine.sleep backoff;
-          go (k + 1)
-        end
-        else `Failed (last, k + 1)
-  in
-  go 0
+  let root = ref 0 in
+  Sim.Retry.run ~max_attempts:(budget + 1) ~retryable
+    ~backoff:(fun k ->
+      let backoff = backoff_of s ~config k in
+      Sim.Metrics.record_session_retry s.cs.Cluster_state.metrics ~node:!root
+        ~backoff;
+      backoff)
+    (fun () ->
+      root := next_root s;
+      run ~root:!root)
 
+(* Each attempt is {!Txn_core.run} driven by the client function: a commit
+   round that fails after the decision is redriven there, never rerun
+   here, so only a clean [Aborted] (or a down root) is retried. *)
 let txn ?retries s f =
+  let client_gave_up = ref false in
+  let body ~root t =
+    let c = { session = s; txn = t; reads = ref [] } in
+    ignore (Txn_core.sub t root : _ Subtxn.t);
+    match f c with
+    | v -> (v, List.rev !(c.reads))
+    | exception Rollback ->
+        (* Rollback outside any scope: the client abandoned the
+           transaction itself.  Abort (recorded deadlock-class) and never
+           retry — rerunning would just abandon again. *)
+        client_gave_up := true;
+        raise (Subtxn.Txn_abort `Deadlock)
+  in
+  let retryable = function
+    | Txn_core.Aborted _ -> not !client_gave_up
+    | Txn_core.Root_down _ -> true
+    | Txn_core.Committed _ | Txn_core.In_doubt _ -> false
+  in
   match
-    retry_loop s ?retries (fun ~root ->
-        match attempt s ~root f with
-        | `Committed c -> `Ok c
-        | `Failed (last, durable, version, retryable) ->
-            `Failed ((last, durable, version), retryable))
+    retry_loop s ?retries ~retryable (fun ~root ->
+        Txn_core.run s.cs ~root (body ~root))
   with
-  | `Ok ((value, txn_id, final_version, reads, finished_at, participants), attempts)
-    ->
+  | Txn_core.Committed c, attempts ->
+      let value, reads = c.value in
       Committed
-        { value; txn_id; final_version; attempts; reads; finished_at; participants }
-  | `Failed ((last, durable, version), attempts) ->
-      Failed { attempts; last; durable; version }
+        {
+          value;
+          txn_id = c.txn_id;
+          final_version = c.final_version;
+          attempts;
+          reads;
+          finished_at = c.finished_at;
+          participants = c.participants;
+        }
+  | Txn_core.Aborted { reason; _ }, attempts ->
+      Failed { attempts; last = Aborted reason; durable = []; version = 0 }
+  | Txn_core.In_doubt { reason; durable; version; _ }, attempts ->
+      (* [durable] tells the caller exactly which homes hold the writes. *)
+      Failed { attempts; last = Aborted reason; durable; version }
+  | Txn_core.Root_down { root }, attempts ->
+      Failed { attempts; last = Root_down root; durable = []; version = 0 }
 
 (* Read-only queries hold no locks and clean up their counters on the way
    out, so every failure is retryable. *)
 let query_retry s run =
-  match
-    retry_loop s (fun ~root ->
-        match run ~root with
-        | v -> `Ok v
-        | exception Net.Network.Node_down n ->
-            `Failed (Aborted (`Node_down n), true)
-        | exception Net.Network.Rpc_timeout n ->
-            `Failed (Aborted (`Rpc_timeout n), true))
-  with
-  | `Ok (v, _) -> Ok v
-  | `Failed (last, _) -> Error last
+  fst
+    (retry_loop s ~retryable:Result.is_error (fun ~root ->
+         match run ~root with
+         | v -> Ok v
+         | exception Net.Network.Node_down n -> Error (Aborted (`Node_down n))
+         | exception Net.Network.Rpc_timeout n ->
+             Error (Aborted (`Rpc_timeout n))))
 
 let query s ~reads =
   query_retry s (fun ~root -> Cluster.run_query s.db ~root ~reads)

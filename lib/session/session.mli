@@ -26,21 +26,14 @@
     {!Sim.Rng} stream, so a run is reproducible from [(seed, workload)]
     and adding a session never perturbs other components' streams.
 
-    {b Idempotence guard.}  A commit round that fails after the version
-    was decided is not blindly retried: once the decision is taken, the
-    session {e redrives} it — {!Ava3.Subtxn.commit} is idempotent, waits
-    out a pending durability force, and refuses stale deliveries to a
-    participant that already rolled back — until every participant's
-    commit record is durable (the acked-then-timed-out outcome is then
-    reported as [Committed]; retrying would double-apply it) or a
-    participant's node has died with its records unforced.  Only a
-    transaction with {e no} durable participant and no participant still
-    in the decision-in/force-pending window is rerun from the client
-    function.  The remaining edge — some participants durable, the rest
-    lost in a crash — is the model's acknowledged atomicity hole for a
-    node dying mid-commit-round: it surfaces as [Failed] without retry,
-    with the durable participants listed so an oracle can account for
-    the writes that did land.
+    {b Idempotence guard.}  Every attempt runs through {!Ava3.Txn_core.run},
+    whose phase 2 is redriven after the version decision, never rerun: an
+    acked-then-timed-out commit is reported as [Committed], and only a
+    clean [Aborted] attempt is rerun from the client function.  An
+    [In_doubt] attempt — some participants durable, the rest lost in a
+    crash — surfaces as [Failed] without retry, with the durable
+    participants listed so an oracle can account for the writes that did
+    land.
 
     All entry points must run inside a simulation process
     ({!Sim.Engine.spawn}). *)
@@ -109,9 +102,7 @@ type ('v, 'a) commit = {
   participants : (int * float) list;
       (** (node, local commit time) per participant, as in
           {!Ava3.Update_exec.commit_info} — what serializability oracles
-          order same-version conflicts by.  May be incomplete when the
-          outcome was recovered by the idempotence guard (the failed
-          commit round did not report every participant's time). *)
+          order same-version conflicts by. *)
 }
 
 type ('v, 'a) outcome =

@@ -23,6 +23,7 @@ let with_cluster ?config ?latency ?(nodes = 3) ?(seed = 42L) body =
 let committed = function
   | Update.Committed c -> c
   | Update.Aborted _ -> Alcotest.fail "expected commit, got abort"
+  | Update.In_doubt _ -> Alcotest.fail "expected commit, got in-doubt"
   | Update.Root_down _ -> Alcotest.fail "expected commit, got root-down"
 
 let expect_commit db ~root ~ops =
@@ -328,26 +329,26 @@ let test_deadlock_abort_and_retry () =
         let outcomes = ref [] in
         Sim.Engine.spawn eng (fun () ->
             let o, _ =
-              Cluster.run_update_with_retry db ~root:0
-                ~ops:
-                  [
-                    Update.Write { node = 0; key = "x"; value = 10 };
-                    Update.Pause 10.0;
-                    Update.Write { node = 0; key = "y"; value = 11 };
-                  ]
-                ()
+              Ava3.Txn_core.retry (fun () ->
+                  Cluster.run_update db ~root:0
+                    ~ops:
+                      [
+                        Update.Write { node = 0; key = "x"; value = 10 };
+                        Update.Pause 10.0;
+                        Update.Write { node = 0; key = "y"; value = 11 };
+                      ])
             in
             outcomes := o :: !outcomes);
         Sim.Engine.spawn eng (fun () ->
             let o, _ =
-              Cluster.run_update_with_retry db ~root:0
-                ~ops:
-                  [
-                    Update.Write { node = 0; key = "y"; value = 20 };
-                    Update.Pause 10.0;
-                    Update.Write { node = 0; key = "x"; value = 21 };
-                  ]
-                ()
+              Ava3.Txn_core.retry (fun () ->
+                  Cluster.run_update db ~root:0
+                    ~ops:
+                      [
+                        Update.Write { node = 0; key = "y"; value = 20 };
+                        Update.Pause 10.0;
+                        Update.Write { node = 0; key = "x"; value = 21 };
+                      ])
             in
             outcomes := o :: !outcomes);
         Sim.Engine.sleep 500.0;
@@ -356,7 +357,7 @@ let test_deadlock_abort_and_retry () =
           (fun o ->
             match o with
             | Update.Committed _ -> ()
-            | Update.Aborted _ | Update.Root_down _ ->
+            | Update.(Aborted _ | In_doubt _ | Root_down _) ->
                 Alcotest.fail "retry did not recover")
           !outcomes)
   in
@@ -969,7 +970,8 @@ let prop_invariants_under_random_load =
               else Update.Read { node = n; key = key n })
         in
         Sim.Engine.schedule engine ~delay (fun () ->
-            ignore (Cluster.run_update_with_retry db ~root ~ops ()))
+            ignore
+              (Ava3.Txn_core.retry (fun () -> Cluster.run_update db ~root ~ops)))
       done;
       (* Queries *)
       for _ = 1 to 10 do
@@ -1023,20 +1025,20 @@ let prop_no_lost_updates =
         let delay = Sim.Rng.float rng 20.0 in
         Sim.Engine.schedule engine ~delay (fun () ->
             match
-              Cluster.run_update_with_retry db ~root:(Sim.Rng.int rng 2)
-                ~ops:
-                  [
-                    Update.Read_modify_write
-                      {
-                        node = 0;
-                        key = "counter";
-                        f = (fun v -> Option.value v ~default:0 + 1);
-                      };
-                  ]
-                ~max_attempts:50 ()
+              Ava3.Txn_core.retry ~max_attempts:50 (fun () ->
+                  Cluster.run_update db ~root:(Sim.Rng.int rng 2)
+                    ~ops:
+                      [
+                        Update.Read_modify_write
+                          {
+                            node = 0;
+                            key = "counter";
+                            f = (fun v -> Option.value v ~default:0 + 1);
+                          };
+                      ])
             with
             | Update.Committed _, _ -> incr committed_count
-            | (Update.Aborted _ | Update.Root_down _), _ -> ())
+            | (Update.(Aborted _ | In_doubt _ | Root_down _)), _ -> ())
       done;
       (* Interleave an advancement. *)
       Sim.Engine.schedule engine ~delay:10.0 (fun () ->

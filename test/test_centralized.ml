@@ -17,6 +17,7 @@ let with_db ?config body =
 let committed = function
   | Update.Committed c -> c
   | Update.Aborted _ -> Alcotest.fail "unexpected abort"
+  | Update.In_doubt _ -> Alcotest.fail "unexpected in-doubt outcome"
   | Update.Root_down _ -> Alcotest.fail "unexpected root-down"
 
 let test_basic_cycle () =

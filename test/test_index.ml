@@ -320,8 +320,8 @@ let oracle_run ~seed ~gc_renumber =
         in
         let ops = if u mod 3 = 0 then [ op (); op () ] else [ op () ] in
         ignore
-          (Cluster.run_update_with_retry db ~root ~ops ~max_attempts:4
-             ~backoff:8.0 ()))
+          (Ava3.Txn_core.retry ~max_attempts:4 ~backoff:8.0 (fun () ->
+               Cluster.run_update db ~root ~ops)))
   done;
   (* Advancement beats from the first alive node. *)
   for b = 1 to int_of_float (horizon /. 45.0) do

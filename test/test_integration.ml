@@ -45,7 +45,8 @@ let prop_recovery_equivalence =
                   | 1 -> Update.Delete { node = n; key = key n }
                   | _ -> Update.Write { node = n; key = key n; value = Sim.Rng.int rng 1000 })
             in
-            ignore (Cluster.run_update_with_retry db ~root ~ops ()))
+            ignore
+              (Ava3.Txn_core.retry (fun () -> Cluster.run_update db ~root ~ops)))
       done;
       (* A couple of advancements mixed in. *)
       Sim.Engine.schedule engine ~delay:80.0 (fun () ->
@@ -150,15 +151,15 @@ let prop_conserved_ledger =
             if a1 <> a2 then begin
               let amount = 1 + Sim.Rng.int rng 20 in
               ignore
-                (Cluster.run_update_with_retry db ~root:n1
-                   ~ops:
-                     [
-                       Update.Read_modify_write
-                         { node = n1; key = a1; f = (fun v -> Option.value v ~default:0 - amount) };
-                       Update.Read_modify_write
-                         { node = n2; key = a2; f = (fun v -> Option.value v ~default:0 + amount) };
-                     ]
-                   ())
+                (Ava3.Txn_core.retry (fun () ->
+                     Cluster.run_update db ~root:n1
+                       ~ops:
+                         [
+                           Update.Read_modify_write
+                             { node = n1; key = a1; f = (fun v -> Option.value v ~default:0 - amount) };
+                           Update.Read_modify_write
+                             { node = n2; key = a2; f = (fun v -> Option.value v ~default:0 + amount) };
+                         ]))
             end)
       done;
       (* Advancements interleaved. *)
@@ -261,9 +262,9 @@ let prop_coordinator_storm =
         let delay = Sim.Rng.float rng 120.0 in
         Sim.Engine.schedule engine ~delay (fun () ->
             ignore
-              (Cluster.run_update_with_retry db ~root:(Sim.Rng.int rng 4)
-                 ~ops:[ Update.Write { node = Sim.Rng.int rng 4; key = "x"; value = 1 } ]
-                 ()))
+              (Ava3.Txn_core.retry (fun () ->
+                   Cluster.run_update db ~root:(Sim.Rng.int rng 4)
+                     ~ops:[ Update.Write { node = Sim.Rng.int rng 4; key = "x"; value = 1 } ])))
       done;
       Sim.Engine.run engine;
       (* All nodes agree and the system is quiescent-consistent. *)

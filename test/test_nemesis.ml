@@ -110,7 +110,7 @@ let test_participant_crash_mid_advancement () =
            ~ops:[ Update.Write { node = 2; key = "k2"; value = 99 } ]
        with
       | Update.Committed _ -> ()
-      | Update.Aborted _ | Update.Root_down _ ->
+      | Update.(Aborted _ | In_doubt _ | Root_down _) ->
           Alcotest.fail "setup commit aborted");
       (match Cluster.advance db ~coordinator:0 with
       | `Started newu -> check_int "round number" 2 newu
@@ -245,12 +245,12 @@ let chaos_fingerprint seed =
         let n = Sim.Rng.int rng nodes in
         let key = Printf.sprintf "n%d-k%d" n (Sim.Rng.int rng 8) in
         match
-          Cluster.run_update_with_retry db ~root
-            ~ops:[ Update.Write { node = n; key; value = u } ]
-            ~max_attempts:4 ~backoff:10.0 ()
+          Ava3.Txn_core.retry ~max_attempts:4 ~backoff:10.0 (fun () ->
+              Cluster.run_update db ~root
+                ~ops:[ Update.Write { node = n; key; value = u } ])
         with
         | Update.Committed _, _ -> incr commits
-        | (Update.Aborted _ | Update.Root_down _), _ -> incr aborts)
+        | (Update.(Aborted _ | In_doubt _ | Root_down _)), _ -> incr aborts)
   done;
   (* Advancement beats from the first alive node. *)
   for b = 1 to int_of_float (horizon /. 40.0) do

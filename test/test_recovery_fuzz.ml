@@ -342,7 +342,7 @@ let test_acked_commits_survive_crash () =
            with
           | Ava3.Update_exec.Committed info ->
               acked := (info.Ava3.Update_exec.txn_id, key, (100 * c) + i) :: !acked
-          | Ava3.Update_exec.Aborted _ | Ava3.Update_exec.Root_down _ -> ());
+          | Ava3.Update_exec.(Aborted _ | In_doubt _ | Root_down _) -> ());
           Sim.Engine.sleep 1.5
         done)
   done;

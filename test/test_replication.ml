@@ -43,9 +43,9 @@ let equivalence_run ~seed ~gc_renumber =
         let p = i mod 3 in
         let key = Printf.sprintf "k%d_%d" p (i mod 4) in
         ignore
-          (Cluster.run_update_with_retry db ~root:p
-             ~ops:[ Update.Write { node = p; key; value = i } ]
-             ()
+          (Ava3.Txn_core.retry (fun () ->
+               Cluster.run_update db ~root:p
+                 ~ops:[ Update.Write { node = p; key; value = i } ])
             : int Update.outcome * int);
         Sim.Engine.sleep 3.0
       done);
@@ -163,7 +163,7 @@ let test_failover_no_acked_loss () =
         | Update.Committed _ ->
             acked := (key, i) :: !acked;
             if Sim.Engine.now engine > 25.0 then incr after_crash
-        | Update.Aborted _ | Update.Root_down _ -> ());
+        | Update.(Aborted _ | In_doubt _ | Root_down _) -> ());
         Sim.Engine.sleep 2.0
       done);
   Sim.Engine.spawn engine (fun () ->
@@ -208,7 +208,7 @@ let test_demotion_and_resync () =
         | Update.Committed _ ->
             let t = Sim.Engine.now engine in
             if t > 12.0 && t < 40.0 then incr committed_during_partition
-        | Update.Aborted _ | Update.Root_down _ -> ());
+        | Update.(Aborted _ | In_doubt _ | Root_down _) -> ());
         Sim.Engine.sleep 3.0
       done);
   Sim.Engine.spawn engine (fun () ->

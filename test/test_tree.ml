@@ -19,7 +19,7 @@ let with_cluster ?config ?(nodes = 5) ?(seed = 11L) body =
 
 let committed = function
   | Tree.Committed c -> c
-  | Tree.Aborted _ -> Alcotest.fail "expected tree commit"
+  | Tree.Aborted _ | Tree.In_doubt _ -> Alcotest.fail "expected tree commit"
   | Tree.Root_down _ -> Alcotest.fail "expected tree commit, got root-down"
 
 (* {1 Basic tree execution} *)
@@ -178,7 +178,7 @@ let test_tree_abort_rolls_back_all_branches () =
         in
         (match Cluster.run_tree_update db ~plan with
         | Tree.Aborted { reason = `Deadlock; _ } -> ()
-        | Tree.Aborted _ | Tree.Root_down _ ->
+        | Tree.(Aborted _ | In_doubt _ | Root_down _) ->
             Alcotest.fail "wrong abort reason"
         | Tree.Committed _ ->
             (* The deadlock victim could be the flat transaction instead;
