@@ -10,7 +10,6 @@ type t = {
   read_service_time : float;
   write_service_time : float;
   gc_renumber : bool;
-  gc_item_time : float;
   advancement_retry : float;
   rpc_timeout : float;
   disk_force_latency : float;
@@ -47,7 +46,6 @@ let default =
     read_service_time = 0.1;
     write_service_time = 0.2;
     gc_renumber = true;
-    gc_item_time = 0.0;
     advancement_retry = 100.0;
     rpc_timeout = infinity;
     disk_force_latency = 0.0;
@@ -100,7 +98,6 @@ let validate t =
   check_time "rpc_batch_window" t.rpc_batch_window;
   check_time "read_service_time" t.read_service_time;
   check_time "write_service_time" t.write_service_time;
-  check_time "gc_item_time" t.gc_item_time;
   if
     Float.is_nan t.advancement_retry
     || t.advancement_retry <= 0.0
@@ -150,12 +147,12 @@ let durability_active t =
 let pp ppf t =
   Format.fprintf ppf
     "{scheme=%s; eager_handoff=%b; piggyback=%b; root_only_qc=%b; \
-     overlap_gc=%b; read=%g; write=%g; gc_item=%g; retry=%g; rpc_timeout=%g; \
+     overlap_gc=%b; read=%g; write=%g; retry=%g; rpc_timeout=%g; \
      force=%g; gc_window=%g/%d; rpc_window=%g; tree=%d%s; replicas=%d; \
      session=%d@%g/%d%s}"
     (Wal.Scheme.kind_name t.scheme)
     t.eager_counter_handoff t.piggyback_version t.root_only_query_counters
-    t.overlap_gc t.read_service_time t.write_service_time t.gc_item_time
+    t.overlap_gc t.read_service_time t.write_service_time
     t.advancement_retry t.rpc_timeout t.disk_force_latency
     t.group_commit_window t.group_commit_batch t.rpc_batch_window t.tree_arity
     (if t.partition_aware then "/pa" else "")

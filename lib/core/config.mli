@@ -48,12 +48,11 @@ type t = {
       (** Virtual time one data-item write costs. *)
   gc_renumber : bool;
       (** Phase-3 rule for items with no incarnation at the new query
-          version: [true] (default) renumbers their old entry per the paper,
-          visiting every live item each round; [false] keeps the entry in
-          place, bounding GC work by the items actually written (see
-          {!Vstore.Store.create} and experiment E8b). *)
-  gc_item_time : float;
-      (** Virtual time Phase-3 garbage collection spends per stored item. *)
+          version: [true] (default) reports their old entry at the query
+          version per the paper; [false] reports it where it was written.
+          Both rules do the same physical work, bounded by the items
+          actually written (see {!Vstore.Store.create} and experiment
+          E8b). *)
   advancement_retry : float;
       (** Coordinator retransmission period for unacknowledged advancement
           messages (covers participant crashes; the paper only assumes

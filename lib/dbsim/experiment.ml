@@ -945,9 +945,10 @@ type gc_cost_row = {
   full_scan_equivalent : int;  (** items * rounds — the naive cost *)
 }
 
-(* Under the paper's renumbering rule, every live item is touched each GC
-   round; the read-equivalent in-place rule plus the version index makes GC
-   proportional to the items actually written. *)
+(* Both rules store the same entries: the paper's renumbering is a relabel
+   of what the in-place rule keeps, so with the version index either one's
+   GC work is proportional to the items actually written — once the first
+   round has visited the loaded version. *)
 let gc_cost_one ?(seed = 61L) ~renumber () =
   let engine = Sim.Engine.create ~seed ~trace:false () in
   let config = { Ava3.Config.default with gc_renumber = renumber } in

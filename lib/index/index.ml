@@ -110,8 +110,7 @@ let candidates_in t ~lo ~hi =
     | _ -> acc
   end
 
-let probe_impl ~skip_visibility t ~lo ~hi version =
-  let cands = candidates_in t ~lo ~hi in
+let probe_impl ~skip_visibility t ~lo ~hi cands version =
   Sset.fold
     (fun pkey acc ->
       let value =
@@ -133,9 +132,10 @@ let probe_impl ~skip_visibility t ~lo ~hi version =
   |> List.rev
 
 let probe ?(skip_visibility = false) t ~lo ~hi version =
+  let cands = candidates_in t ~lo ~hi in
   t.probes <- t.probes + 1;
-  t.candidates <- t.candidates + Sset.cardinal (candidates_in t ~lo ~hi);
-  probe_impl ~skip_visibility t ~lo ~hi version
+  t.candidates <- t.candidates + Sset.cardinal cands;
+  probe_impl ~skip_visibility t ~lo ~hi cands version
 
 let full_scan t ~lo ~hi version =
   List.filter
@@ -211,7 +211,8 @@ let check t ~version =
   let indexed =
     match (Smap.min_binding_opt t.postings, Smap.max_binding_opt t.postings) with
     | Some (lo, _), Some (hi, _) ->
-        probe_impl ~skip_visibility:false t ~lo ~hi version
+        probe_impl ~skip_visibility:false t ~lo ~hi (candidates_in t ~lo ~hi)
+          version
     | _ -> []
   in
   let full = Store.scan_all t.base version in

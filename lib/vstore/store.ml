@@ -25,23 +25,35 @@ type 'v item = {
   mutable spill : 'v entry list; (* entries older than slot 2, descending *)
 }
 
-module String_set = Set.Make (String)
+module String_map = Map.Make (String)
 
 type 'v t = {
-  bound : int option;
-  gc_renumber : bool;
+  (* Fields every read or write touches come first. *)
   items : (string, 'v item) Hashtbl.t;
-  mutable key_order : String_set.t;
-      (* ordered key index for range scans, kept in sync with [items] *)
+  (* The renumbering rule as a view: an entry stored at or below
+     [relabel_le] is reported at version [relabel_to].  [min_int] = off
+     (always off under the in-place rule). *)
+  mutable relabel_to : version;
+  mutable relabel_le : version;
+  (* Phase-3 watermark.  Every item has at most one entry stored at or
+     below [collected] (the last [collect]), except the keys in [revisit],
+     which the next {!gc} visits whatever their versions. *)
+  mutable collected : version;
   (* Version index (the structure the paper defers to MPL92 for): which
-     items have an entry in each version.  Keeps garbage collection
-     proportional to the touched items instead of the whole store. *)
+     items have an entry stored at each version above [collected].  Keeps
+     garbage collection proportional to the touched items instead of the
+     whole store. *)
   by_version : (int, (string, unit) Hashtbl.t) Hashtbl.t;
-  mutable high_water : int;
-  mutable gc_items_visited : int;
   (* Derived structures (lib/index) register here to observe mutations;
      [None] (the common case) costs one load-and-branch per write. *)
   mutable listener : (string -> unit) option;
+  mutable high_water : int;
+  bound : int option;
+  gc_renumber : bool;
+  mutable key_order : 'v item String_map.t;
+      (* ordered key index for range scans, kept in sync with [items] *)
+  mutable revisit : string list;
+  mutable gc_items_visited : int;
 }
 
 let create ?bound ?(gc_renumber = true) () =
@@ -49,15 +61,22 @@ let create ?bound ?(gc_renumber = true) () =
   | Some b when b < 1 -> invalid_arg "Store.create: bound must be >= 1"
   | _ -> ());
   {
+    items = Hashtbl.create 1024;
+    relabel_to = min_int;
+    relabel_le = min_int;
+    collected = min_int;
+    by_version = Hashtbl.create 8;
+    listener = None;
+    high_water = 0;
     bound;
     gc_renumber;
-    items = Hashtbl.create 1024;
-    key_order = String_set.empty;
-    by_version = Hashtbl.create 8;
-    high_water = 0;
+    key_order = String_map.empty;
+    revisit = [];
     gc_items_visited = 0;
-    listener = None;
   }
+
+(* The version an entry stored at [v] reports. *)
+let label t v = if v <= t.relabel_le then t.relabel_to else v
 
 let set_listener t listener = t.listener <- listener
 
@@ -65,15 +84,17 @@ let notify t key =
   match t.listener with None -> () | Some f -> f key
 
 let index_add t version key =
-  let set =
-    match Hashtbl.find_opt t.by_version version with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 64 in
-        Hashtbl.replace t.by_version version s;
-        s
-  in
-  Hashtbl.replace set key ()
+  if version > t.collected then begin
+    let set =
+      match Hashtbl.find_opt t.by_version version with
+      | Some s -> s
+      | None ->
+          let s = Hashtbl.create 64 in
+          Hashtbl.replace t.by_version version s;
+          s
+    in
+    Hashtbl.replace set key ()
+  end
 
 let index_remove t version key =
   match Hashtbl.find_opt t.by_version version with
@@ -129,71 +150,122 @@ let set_entries item desc =
               item.n <- 3;
               item.spill <- rest))
 
-let desc_compare a b = Int.compare b.version a.version
-
 let live_count item = item.n + List.length item.spill
 
+(* Stored versions, descending: what the version index records. *)
 let versions_desc item = List.map (fun e -> e.version) (entries_desc item)
 
-let versions_of_item item = List.rev (versions_desc item)
+(* Reported versions, ascending. *)
+let versions_of_item t item =
+  List.rev_map (fun e -> label t e.version) (entries_desc item)
 
-let exists_in t key v =
-  match find_item t key with
-  | None -> false
-  | Some item ->
-      (item.n > 0 && item.v0 = v)
-      || (item.n > 1 && item.v1 = v)
-      || (item.n > 2 && item.v2 = v)
-      || List.exists (fun e -> e.version = v) item.spill
+(* {2 The renumbering view}
 
-let max_version t key =
-  match find_item t key with
-  | None -> None
-  | Some item -> if item.n = 0 then None else Some item.v0
+   Under the paper's rule, Phase 3 renumbers every item whose newest entry
+   is at or below [collect] up to [query].  The store keeps only the
+   in-place rule's physical state and reports such entries at [query]
+   instead.  That is safe because garbage collection leaves at most one
+   entry at or below [collect] per item, never beside an entry in
+   [(collect, query]], and updates land above [query]: a relabelled entry
+   is always its item's oldest, and the slots stay descending by reported
+   version.  A mutation that would break this first moves the entry to its
+   reported version — one item, or every item on a write below the
+   watermark. *)
 
-let versions_of t key =
-  match find_item t key with None -> [] | Some item -> versions_of_item item
+(* Store the item's relabelled entry (if any) at the version it reports.
+   The entry leaves [<= collected], where the version index does not
+   reach, so it joins the index. *)
+let materialize t key item =
+  let move () =
+    index_add t t.relabel_to key;
+    t.relabel_to
+  in
+  if item.spill <> [] then
+    item.spill <-
+      List.map
+        (fun e ->
+          if e.version <= t.relabel_le then { e with version = move () } else e)
+        item.spill
+  else if item.n = 3 && item.v2 <= t.relabel_le then item.v2 <- move ()
+  else if item.n = 2 && item.v1 <= t.relabel_le then item.v1 <- move ()
+  else if item.n = 1 && item.v0 <= t.relabel_le then item.v0 <- move ()
+
+(* Turn the view off by materializing every relabelled entry: a scan of the
+   whole store, for the rare calls that need it. *)
+let flatten t =
+  if t.relabel_le <> min_int then begin
+    Hashtbl.iter (materialize t) t.items;
+    t.relabel_le <- min_int;
+    t.relabel_to <- min_int
+  end
+
+(* {2 Index queries and reads} *)
 
 let value_of = function Value value -> Some value | Tombstone -> None
+
+(* Every protocol read is at or above [relabel_to], where a relabelled
+   entry sits exactly where its stored version puts it: those reads compare
+   stored versions.  Older versions go through the labels. *)
 
 let rec spill_le spill v =
   match spill with
   | [] -> None
   | e :: rest -> if e.version <= v then value_of e.body else spill_le rest v
 
+(* Slots are descending: the first slot reported at or below [v] wins. *)
+let read_item t item v =
+  if v >= t.relabel_to then
+    if item.n > 0 && item.v0 <= v then value_of item.b0
+    else if item.n > 1 && item.v1 <= v then value_of item.b1
+    else if item.n > 2 && item.v2 <= v then value_of item.b2
+    else spill_le item.spill v
+  else
+    match List.find_opt (fun e -> label t e.version <= v) (entries_desc item) with
+    | Some e -> value_of e.body
+    | None -> None
+
 let read_le t key v =
+  match find_item t key with None -> None | Some item -> read_item t item v
+
+(* The body reported at exactly version [v]. *)
+let find_body t item v =
+  if v > t.relabel_to then
+    if item.n > 0 && item.v0 = v then Some item.b0
+    else if item.n > 1 && item.v1 = v then Some item.b1
+    else if item.n > 2 && item.v2 = v then Some item.b2
+    else
+      match List.find_opt (fun e -> e.version = v) item.spill with
+      | Some e -> Some e.body
+      | None -> None
+  else
+    List.find_map
+      (fun e -> if label t e.version = v then Some e.body else None)
+      (entries_desc item)
+
+let exists_in t key v =
+  match find_item t key with
+  | None -> false
+  | Some item -> Option.is_some (find_body t item v)
+
+let max_version t key =
   match find_item t key with
   | None -> None
-  | Some item ->
-      (* Slots are descending: the first slot with version <= v wins. *)
-      if item.n > 0 && item.v0 <= v then value_of item.b0
-      else if item.n > 1 && item.v1 <= v then value_of item.b1
-      else if item.n > 2 && item.v2 <= v then value_of item.b2
-      else spill_le item.spill v
+  | Some item -> if item.n = 0 then None else Some (label t item.v0)
 
-let rec spill_exact spill v =
-  match spill with
-  | [] -> None
-  | e :: rest ->
-      if e.version = v then value_of e.body
-      else if e.version < v then None
-      else spill_exact rest v
+let versions_of t key =
+  match find_item t key with None -> [] | Some item -> versions_of_item t item
 
 let read_exact t key v =
   match find_item t key with
   | None -> None
-  | Some item ->
-      if item.n > 0 && item.v0 = v then value_of item.b0
-      else if item.n > 1 && item.v1 = v then value_of item.b1
-      else if item.n > 2 && item.v2 = v then value_of item.b2
-      else spill_exact item.spill v
+  | Some item -> Option.bind (find_body t item v) value_of
 
 let note_size t key item =
   let n = live_count item in
   if n > t.high_water then t.high_water <- n;
   match t.bound with
   | Some b when n > b ->
-      raise (Version_bound_exceeded { key; versions = versions_of_item item })
+      raise (Version_bound_exceeded { key; versions = versions_of_item t item })
   | _ -> ()
 
 (* Insert a new entry at [version] (known absent), keeping slots and spill
@@ -254,8 +326,13 @@ let insert_new item version body =
     item.spill <- insert item.spill
   end
 
-(* Insert or replace the entry for [version]. *)
+(* Insert or replace the entry for [version].  Updates land above the
+   watermark; anything at or below it first makes the item's stored
+   versions equal its reported ones (see {!materialize}). *)
 let put_entry t key item version body =
+  if version <= t.relabel_to then
+    if version <= t.relabel_le then flatten t else materialize t key item;
+  if version <= t.collected then t.revisit <- key :: t.revisit;
   if item.n > 0 && item.v0 = version then item.b0 <- body
   else if item.n > 1 && item.v1 = version then item.b1 <- body
   else if item.n > 2 && item.v2 = version then item.b2 <- body
@@ -285,12 +362,12 @@ let get_or_create_item t key =
         }
       in
       Hashtbl.replace t.items key item;
-      t.key_order <- String_set.add key t.key_order;
+      t.key_order <- String_map.add key item t.key_order;
       item
 
 let remove_item t key =
   Hashtbl.remove t.items key;
-  t.key_order <- String_set.remove key t.key_order
+  t.key_order <- String_map.remove key t.key_order
 
 (* [note_size] inside [put_entry] may raise [Version_bound_exceeded] after
    the entry is already in place, so on the listener path the notification
@@ -308,34 +385,30 @@ let write t key v value =
   let item = get_or_create_item t key in
   put_entry_notified t key item v (Value value)
 
-let find_body item v =
-  if item.n > 0 && item.v0 = v then Some item.b0
-  else if item.n > 1 && item.v1 = v then Some item.b1
-  else if item.n > 2 && item.v2 = v then Some item.b2
-  else
-    match List.find_opt (fun e -> e.version = v) item.spill with
-    | Some e -> Some e.body
-    | None -> None
-
 let copy_forward t key ~src ~dst =
   match find_item t key with
   | None -> raise Not_found
   | Some item -> (
-      match find_body item src with
+      match find_body t item src with
       | None -> raise Not_found
       | Some body -> put_entry_notified t key item dst body)
 
 let drop_item_if_empty t key item = if item.n = 0 then remove_item t key
 
+let is_lone_tombstone item =
+  match (item.n, item.spill, item.b0) with
+  | 1, [], Tombstone -> true
+  | _ -> false
+
 (* An item whose only remaining entry is a tombstone can be removed outright
    (paper: once all earlier versions are gone, the deleted item itself may
    be removed). *)
 let drop_lone_tombstone t key item =
-  match (item.n, item.spill, item.b0) with
-  | 1, [], Tombstone ->
-      index_remove t item.v0 key;
-      remove_item t key
-  | _ -> drop_item_if_empty t key item
+  if is_lone_tombstone item then begin
+    index_remove t item.v0 key;
+    remove_item t key
+  end
+  else drop_item_if_empty t key item
 
 (* The tombstone is retained even when it is the item's only entry: an
    uncommitted transaction may still hold an undo image or need to copy the
@@ -350,6 +423,9 @@ let remove_version t key v =
   match find_item t key with
   | None -> ()
   | Some item ->
+      (* Stored versions equal reported ones first: nothing then reports a
+         version at or below the relabel watermark. *)
+      if v <= t.relabel_to then materialize t key item;
       (if item.n > 0 && item.v0 = v then begin
          (* Shift newer slots up over the removed one. *)
          item.v0 <- item.v1;
@@ -390,76 +466,86 @@ let remove_version t key v =
        else item.spill <- List.filter (fun e -> e.version <> v) item.spill);
       index_remove t v key;
       drop_item_if_empty t key item;
+      (* A lone tombstone below the watermark sits in no version the next
+         collection scans; queue it so that collection still removes it. *)
+      if is_lone_tombstone item && item.v0 <= t.collected then
+        t.revisit <- key :: t.revisit;
       notify t key
 
+(* Phase 3, in O(items with an entry in (previous collect, query]).  One
+   physical rule — keep an item's newest entry at or below [collect] unless
+   an entry in [(collect, query]] supersedes it, drop the rest — and the
+   renumbering rule on top as a relabel of what survives at or below
+   [collect].  Items with nothing stored in the scanned range are already
+   in that shape, and their reported versions move with the watermark. *)
 let gc t ~collect ~query =
+  if collect < t.collected then invalid_arg "Store.gc: collect went backwards";
+  (* The relabel view only moves forward; a collection behind it stores
+     the view's entries at the versions they report first. *)
+  if collect < t.relabel_to then flatten t;
+  (* Which items each rule's eager pass would change: the renumbering rule
+     touches items with an entry at or below [collect]; the in-place rule
+     also sweeps lone tombstones at or below [query]. *)
+  let reach = if t.gc_renumber then collect else query in
   let process key item =
     t.gc_items_visited <- t.gc_items_visited + 1;
     let entries = entries_desc item in
-    let before = List.map (fun e -> e.version) entries in
-    (* A reader at [query] resolves to the newest entry at or below it; the
-       entries at or below [collect] are garbage iff such an entry exists
-       strictly above [collect].  Checking for an incarnation at exactly
-       [query] is not enough: when [query] has skipped versions (a lagging
-       collector catching up), an entry strictly between [collect] and
-       [query] protects the item, and renumbering a stale entry up to
-       [query] would shadow it. *)
-    (if List.exists (fun e -> e.version > collect && e.version <= query) entries
-     then set_entries item (List.filter (fun e -> e.version > collect) entries)
-     else if t.gc_renumber then begin
-       (* Paper rule: no incarnation at [query] — renumber the newest entry
-          at or below [collect] so readers of [query] still find the item. *)
-       match List.find_opt (fun e -> e.version <= collect) entries with
-       | None -> ()
-       | Some e ->
-           set_entries item
-             (List.sort desc_compare
-                ({ e with version = query }
-                :: List.filter (fun x -> x.version > collect) entries))
-     end
-     else begin
-       (* In-place rule: keep the newest entry <= collect (still the one
-          readers of [query] resolve to) and drop any older ones. *)
-       match List.find_opt (fun e -> e.version <= collect) entries with
-       | None -> ()
-       | Some newest ->
-           set_entries item
-             (List.filter
-                (fun x -> x.version > collect || x.version = newest.version)
-                entries)
-     end);
-    reindex t key ~before ~after:(versions_desc item);
-    drop_lone_tombstone t key item;
-    notify t key
-  in
-  (* The version index bounds the scan.  Under the paper's renumbering rule
-     every item with an entry at or below [collect] is a candidate (each
-     untouched item gets renumbered every round).  Under the in-place rule,
-     steady state guarantees at most one entry below [collect] per item, so
-     only items actually written in [collect] or [query] need work. *)
-  let candidate_versions =
-    Hashtbl.fold
-      (fun v _ acc ->
-        if
-          (if t.gc_renumber then v <= collect
-           else v = collect || v = query)
-        then v :: acc
-        else acc)
-      t.by_version []
+    if List.exists (fun e -> e.version <= reach) entries then begin
+      (* A reader at [query] resolves to the newest entry at or below it;
+         the entries at or below [collect] are garbage iff such an entry
+         exists strictly above [collect].  Checking for an incarnation at
+         exactly [query] is not enough: when [query] has skipped versions
+         (a lagging collector catching up), an entry strictly between
+         [collect] and [query] protects the item. *)
+      let superseded =
+        List.exists (fun e -> e.version > collect && e.version <= query) entries
+      in
+      let kept =
+        match List.find_opt (fun e -> e.version <= collect) entries with
+        | None -> entries
+        | Some newest ->
+            List.filter
+              (fun e ->
+                e.version > collect
+                || ((not superseded) && e.version = newest.version))
+              entries
+      in
+      (* Only a real change reaches the listener. *)
+      if List.compare_lengths kept entries < 0 || is_lone_tombstone item then begin
+        set_entries item kept;
+        reindex t key
+          ~before:(List.map (fun e -> e.version) entries)
+          ~after:(versions_desc item);
+        drop_lone_tombstone t key item;
+        notify t key
+      end
+    end
   in
   let keys = Hashtbl.create 64 in
-  List.iter
-    (fun v ->
-      match Hashtbl.find_opt t.by_version v with
-      | None -> ()
-      | Some set -> Hashtbl.iter (fun k () -> Hashtbl.replace keys k ()) set)
-    candidate_versions;
+  Hashtbl.iter
+    (fun v set ->
+      if v <= query then Hashtbl.iter (fun k () -> Hashtbl.replace keys k ()) set)
+    t.by_version;
+  List.iter (fun k -> Hashtbl.replace keys k ()) t.revisit;
+  t.revisit <- [];
   Hashtbl.iter
     (fun k () ->
       match find_item t k with None -> () | Some item -> process k item)
-    keys
+    keys;
+  (* What survives at or below [collect] is one entry per item, which no
+     later collection needs to find by version. *)
+  t.collected <- collect;
+  Hashtbl.filter_map_inplace
+    (fun v set -> if v <= collect then None else Some set)
+    t.by_version;
+  if t.gc_renumber then begin
+    t.relabel_le <- collect;
+    t.relabel_to <- query
+  end
 
 let prune_below t ~keep =
+  (* [keep] is compared with stored versions below. *)
+  flatten t;
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.items [] in
   List.iter
     (fun key ->
@@ -486,7 +572,9 @@ let snapshot t =
   Hashtbl.fold
     (fun key item acc ->
       let entries =
-        List.rev_map (fun e -> (e.version, value_of e.body)) (entries_desc item)
+        List.rev_map
+          (fun e -> (label t e.version, value_of e.body))
+          (entries_desc item)
       in
       (key, entries) :: acc)
     t.items []
@@ -510,38 +598,35 @@ let snapshot_items snap = snap
 let snapshot_of_items items =
   List.sort (fun (a, _) (b, _) -> String.compare a b) items
 
-(* Range scan at a version: keys in [lo, hi] (inclusive), ascending, with
-   their value as of [version]; deleted/absent-as-of-version keys are
-   skipped. *)
+(* Keys of an ascending fold, with their value as of [version]; items
+   deleted or absent as of that version are skipped.  Builds the list
+   descending; callers reverse it. *)
+let visible_rev t version key item acc =
+  match read_item t item version with
+  | Some value -> (key, value) :: acc
+  | None -> acc
+
+(* Range scan at a version: keys in [lo, hi] (inclusive), ascending. *)
 let range t ~lo ~hi version =
   if hi < lo then []
   else begin
     (* Split twice to isolate [lo, hi]. *)
-    let _, lo_present, ge_lo = String_set.split lo t.key_order in
-    let le_hi, hi_present, _ = String_set.split hi ge_lo in
-    let keys =
-      (if lo_present then [ lo ] else [])
-      @ String_set.elements le_hi
-      @ if hi_present && hi <> lo then [ hi ] else []
+    let _, lo_item, ge_lo = String_map.split lo t.key_order in
+    let le_hi, hi_item, _ = String_map.split hi ge_lo in
+    let acc =
+      match lo_item with Some item -> visible_rev t version lo item [] | None -> []
     in
-    List.filter_map
-      (fun key ->
-        match read_le t key version with
-        | Some value -> Some (key, value)
-        | None -> None)
-      keys
+    let acc = String_map.fold (visible_rev t version) le_hi acc in
+    let acc =
+      match hi_item with Some item -> visible_rev t version hi item acc | None -> acc
+    in
+    List.rev acc
   end
 
 (* Full ordered scan at a version — the reference plan an index probe must
    match byte-for-byte (lib/index).  O(items) by construction. *)
 let scan_all t version =
-  String_set.fold
-    (fun key acc ->
-      match read_le t key version with
-      | Some value -> (key, value) :: acc
-      | None -> acc)
-    t.key_order []
-  |> List.rev
+  List.rev (String_map.fold (visible_rev t version) t.key_order [])
 
 let item_count t = Hashtbl.length t.items
 
@@ -551,7 +636,8 @@ let iter f t =
       let summary =
         List.rev_map
           (fun e ->
-            (e.version, match e.body with Value _ -> `Value | Tombstone -> `Tombstone))
+            ( label t e.version,
+              match e.body with Value _ -> `Value | Tombstone -> `Tombstone ))
           (entries_desc item)
       in
       f key summary)
@@ -566,10 +652,19 @@ let max_live_versions_now t =
 let high_water_versions t = t.high_water
 let gc_items_visited t = t.gc_items_visited
 
+(* The version index answers above the watermark; at or below it, and for
+   the version relabelled entries report, count the items. *)
 let items_in_version t v =
-  match Hashtbl.find_opt t.by_version v with
-  | None -> 0
-  | Some s -> Hashtbl.length s
+  if v > t.collected && v <> t.relabel_to then
+    match Hashtbl.find_opt t.by_version v with
+    | None -> 0
+    | Some s -> Hashtbl.length s
+  else
+    Hashtbl.fold
+      (fun _ item n ->
+        if List.exists (fun e -> label t e.version = v) (entries_desc item) then n + 1
+        else n)
+      t.items 0
 
 let version_histogram t =
   let tbl = Hashtbl.create 8 in

@@ -6,7 +6,13 @@
     tombstones inside a version (paper §3.1), and the Phase-3
     garbage-collection rules (drop the collected version, or renumber it to
     the query version when the item has no newer incarnation) are provided
-    as a single {!gc} operation.
+    as a single {!gc} operation whose cost follows the items written, not
+    the store size.
+
+    Every accessor that reveals or takes a version speaks in {e reported}
+    versions.  Under the renumbering rule an entry the last collection left
+    at or below its [collect] version is reported at that collection's
+    [query] version; nothing is rewritten to make it so.
 
     The store can be created with a [bound] on live versions per item; AVA3
     uses [bound = 3] and the store raises {!Version_bound_exceeded} if a
@@ -26,11 +32,10 @@ val create : ?bound:int -> ?gc_renumber:bool -> unit -> 'v t
 
     [gc_renumber] (default [true]) selects the garbage-collection rule for
     items with no incarnation at the new query version: the paper's
-    renumbering rule moves their old entry to the query version — touching
-    {e every} live item each round — while [false] keeps the old entry in
-    place (readers resolve to it anyway), letting the version index bound
-    GC work by the items actually written.  Both rules are read-equivalent;
-    experiment E8b measures the difference. *)
+    renumbering rule reports their old entry at the query version, while
+    [false] reports it at the version it was written in (readers resolve to
+    it anyway).  The two rules store the same entries and do the same
+    work; they differ only in the versions they report (experiment E8b). *)
 
 val bound : _ t -> int option
 
@@ -92,7 +97,9 @@ val set_listener : 'v t -> (string -> unit) option -> unit
 (** Install (or clear) the store's single mutation listener: it is called
     with the affected key after every mutation that may change that key's
     live entries — {!write}, {!delete}, {!copy_forward}, {!remove_version},
-    and each item processed by {!gc} or {!prune_below}.  Because every
+    each item {!gc} drops entries from or removes, and each item processed
+    by {!prune_below}.  Renumbering changes reported versions only, never
+    entries, so it calls nothing.  Because every
     mutation path (update execution, moveToFuture, WAL replay, replication
     apply, checkpoint restore) funnels through those operations, a derived
     structure that re-derives the key's state on each call stays exactly
@@ -119,9 +126,18 @@ val snapshot_of_items : (string * (version * 'v option) list) list -> 'v snapsho
 val gc : _ t -> collect:version -> query:version -> unit
 (** For every item: if it has an entry visible to a reader at [query]
     (version in [(collect, query]]), drop every entry with version
-    [<= collect]; otherwise renumber its newest entry [<= collect] to
-    [query] (and drop older ones).  Items left with only a tombstone and no
-    earlier version are removed. *)
+    [<= collect]; otherwise keep only its newest entry [<= collect], which
+    the renumbering rule from now on reports at [query].  Items left with
+    only a tombstone and no earlier version are removed.
+
+    Cost: the version index finds the items with an entry stored in
+    [(c, query]], where [c] is the previous call's [collect] — in a
+    protocol round [(g, g+1)], the items written in versions [g] and
+    [g+1].  Every other item already has the shape this call leaves, and
+    the renumbering rule relabels it by moving the store's watermark to
+    [(collect, query)].  A call whose [collect] is below the previous
+    [query] first stores every relabelled entry at its reported version.
+    Raises [Invalid_argument] if [collect] is below the previous call's. *)
 
 val prune_below : _ t -> keep:version -> unit
 (** MVCC-style garbage collection: for every item, keep the newest entry
@@ -145,13 +161,14 @@ val high_water_versions : _ t -> int
     that verifies "at most three versions" (paper §6.2 property 2a). *)
 
 val gc_items_visited : _ t -> int
-(** Cumulative count of items {!gc} has processed.  Garbage collection uses
-    the store's version index, so this is proportional to the items that
-    actually had entries in collected versions, not to the store size. *)
+(** Cumulative count of items {!gc} has visited.  Garbage collection uses
+    the store's version index, so this is proportional to the items written
+    in the collected and query versions, not to the store size, under
+    either rule. *)
 
 val items_in_version : _ t -> version -> int
-(** Number of items with an entry at exactly this version (from the version
-    index). *)
+(** Number of items with an entry reported at exactly this version (from
+    the version index). *)
 
 val version_histogram : _ t -> (int * int) list
 (** [(k, n)] pairs: [n] items currently have [k] live versions. *)

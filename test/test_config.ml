@@ -68,15 +68,12 @@ let test_service_times () =
     (rejected { C.default with read_service_time = -0.1 });
   check_bool "negative write_service_time rejected" true
     (rejected { C.default with write_service_time = -0.1 });
-  check_bool "negative gc_item_time rejected" true
-    (rejected { C.default with gc_item_time = -0.1 });
   check_bool "free (zero-cost) services fine" false
     (rejected
        {
          C.default with
          read_service_time = 0.0;
          write_service_time = 0.0;
-         gc_item_time = 0.0;
        })
 
 let test_advancement_retry () =

@@ -165,10 +165,10 @@ let test_ablations_consistent () =
 let test_gc_cost_rules () =
   match Dbsim.Experiment.gc_cost () with
   | [ renumber; in_place ] ->
-      check_bool "paper rule scans everything" true
-        (renumber.Dbsim.Experiment.items_visited
-        = renumber.Dbsim.Experiment.full_scan_equivalent);
-      check_bool "in-place rule visits far less" true
+      check_int "paper rule visits what the in-place rule visits"
+        in_place.Dbsim.Experiment.items_visited
+        renumber.Dbsim.Experiment.items_visited;
+      check_bool "both rules visit far less than a full scan" true
         (in_place.Dbsim.Experiment.items_visited * 4
         < in_place.Dbsim.Experiment.full_scan_equivalent)
   | _ -> Alcotest.fail "expected two gc rules"

@@ -145,6 +145,17 @@ let test_gc_skipped_query_keeps_newest () =
   Alcotest.check vopt "query reader sees the newer value" (Some 12)
     (Store.read_le s "x" 3)
 
+(* The watermark only moves forward: a collection below the previous one's
+   [collect] is a caller error, not something to relabel around. *)
+let test_gc_collect_backwards_rejected () =
+  let s : int Store.t = Store.create ~bound:3 () in
+  Store.write s "x" 0 10;
+  Store.gc s ~collect:2 ~query:3;
+  Store.gc s ~collect:2 ~query:3;
+  Alcotest.check_raises "collect below the previous one"
+    (Invalid_argument "Store.gc: collect went backwards") (fun () ->
+      Store.gc s ~collect:1 ~query:2)
+
 (* The item representation keeps three versions in inline slots and spills
    older entries to a list; a bound above the slot capacity exercises the
    spill path before the bound trips. *)
@@ -504,6 +515,214 @@ let prop_store_matches_reference =
         ops;
       !ok)
 
+(* An eager reference for Phase 3: every item's entries as a descending
+   (version, value-or-tombstone) list, and the collection rules applied to
+   every item on every call, renumbering by rewriting the entry — the
+   store's behaviour before garbage collection became a watermark relabel.
+   The store must report exactly what this model holds. *)
+module Eager = struct
+  type t = { renumber : bool; items : (string, (int * int option) list) Hashtbl.t }
+
+  let create ~renumber = { renumber; items = Hashtbl.create 16 }
+  let entries m k = Option.value (Hashtbl.find_opt m.items k) ~default:[]
+
+  let put m k v body =
+    let rest = List.filter (fun (ev, _) -> ev <> v) (entries m k) in
+    Hashtbl.replace m.items k
+      (List.sort (fun (a, _) (b, _) -> Int.compare b a) ((v, body) :: rest))
+
+  let copy_forward m k ~src ~dst =
+    match List.assoc_opt src (entries m k) with
+    | None -> raise Not_found
+    | Some body -> put m k dst body
+
+  let remove_version m k v =
+    match List.filter (fun (ev, _) -> ev <> v) (entries m k) with
+    | [] -> Hashtbl.remove m.items k
+    | rest -> if Hashtbl.mem m.items k then Hashtbl.replace m.items k rest
+
+  (* The renumbering rule touches the items with an entry at or below
+     [collect]; the in-place rule also sweeps lone tombstones up to
+     [query]. *)
+  let gc m ~collect ~query =
+    let reach = if m.renumber then collect else query in
+    Hashtbl.filter_map_inplace
+      (fun _ entries ->
+        if not (List.exists (fun (v, _) -> v <= reach) entries) then Some entries
+        else
+          let above = List.filter (fun (v, _) -> v > collect) entries in
+          let entries =
+            if List.exists (fun (v, _) -> v <= query) above then above
+            else
+              match List.find_opt (fun (v, _) -> v <= collect) entries with
+              | None -> entries
+              | Some (v, body) ->
+                  (if m.renumber then (query, body) else (v, body)) :: above
+                  |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
+          in
+          match entries with [] | [ (_, None) ] -> None | _ -> Some entries)
+      m.items
+
+  let read_le m k v =
+    match List.find_opt (fun (ev, _) -> ev <= v) (entries m k) with
+    | Some (_, body) -> body
+    | None -> None
+end
+
+let store_matches_eager (s : int Store.t) (m : Eager.t) ~keys ~versions =
+  let per_key k =
+    let entries = Eager.entries m k in
+    Store.versions_of s k = List.rev_map fst entries
+    && Store.max_version s k
+       = (match entries with (v, _) :: _ -> Some v | [] -> None)
+    && Store.live_versions s k = List.length entries
+    && List.for_all
+         (fun v ->
+           Store.read_le s k v = Eager.read_le m k v
+           && Store.read_exact s k v = Option.join (List.assoc_opt v entries)
+           && Store.exists_in s k v = List.mem_assoc v entries)
+         versions
+  in
+  let iterated = ref [] in
+  Store.iter (fun k summary -> iterated := (k, summary) :: !iterated) s;
+  let model_items =
+    Hashtbl.fold (fun k e acc -> (k, List.rev e) :: acc) m.items []
+    |> List.sort compare
+  in
+  List.for_all per_key keys
+  && Store.item_count s = Hashtbl.length m.items
+  && Store.snapshot_items (Store.snapshot s) = model_items
+  && List.sort compare !iterated
+     = List.map
+         (fun (k, e) ->
+           (k, List.map (fun (v, b) -> (v, if b = None then `Tombstone else `Value)) e))
+         model_items
+  && List.for_all
+       (fun v ->
+         Store.items_in_version s v
+         = Hashtbl.fold
+             (fun _ e n -> if List.mem_assoc v e then n + 1 else n)
+             m.items 0)
+       versions
+
+(* Random histories against the eager reference, under both rules.  Writes
+   mostly land above the query version, as the protocol has them, but also
+   at it and below it; collections may skip query versions, lag behind the
+   previous one, or repeat it; a checkpoint round-trip rebuilds the store
+   from its snapshot.  Every accessor must agree with the reference at
+   every version after every step. *)
+let prop_watermark_matches_eager =
+  let key = QCheck.Gen.(map (Printf.sprintf "k%d") (int_bound 3)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map3 (fun k d x -> `Write (k, d, x)) key (int_range (-3) 2) (int_bound 99));
+          (3, map2 (fun k d -> `Delete (k, d)) key (int_range (-3) 2));
+          (2, map3 (fun k s d -> `Copy (k, s, d)) key (int_range (-3) 1) (int_range 0 2));
+          (3, map2 (fun k d -> `Remove (k, d)) key (int_range (-3) 2));
+          (3, map2 (fun skip lag -> `Gc (skip, lag)) (int_bound 2) (int_bound 3));
+          (1, return `Restore);
+        ])
+  in
+  QCheck.Test.make ~name:"watermark gc reports what eager renumbering stores"
+    ~count:1000
+    (QCheck.make QCheck.Gen.(pair bool (list_size (int_bound 80) op)))
+    (fun (renumber, ops) ->
+      let s = ref (Store.create ~gc_renumber:renumber ()) in
+      let m = Eager.create ~renumber in
+      (* [q] is the current query version, [g] the last collect; versions
+         in ops are offsets from the update version [q + 1]. *)
+      let q = ref 0 and g = ref (-1) in
+      let keys = List.init 4 (Printf.sprintf "k%d") in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          let at d = !q + 1 + d in
+          (match op with
+          | `Write (k, d, x) ->
+              Store.write !s k (at d) x;
+              Eager.put m k (at d) (Some x)
+          | `Delete (k, d) ->
+              Store.delete !s k (at d);
+              Eager.put m k (at d) None
+          | `Copy (k, sd, d) -> (
+              let src = at sd and dst = at d in
+              match Store.copy_forward !s k ~src ~dst with
+              | () -> Eager.copy_forward m k ~src ~dst
+              | exception Not_found -> (
+                  match Eager.copy_forward m k ~src ~dst with
+                  | () -> ok := false
+                  | exception Not_found -> ()))
+          | `Remove (k, d) ->
+              Store.remove_version !s k (at d);
+              Eager.remove_version m k (at d)
+          | `Gc (skip, lag) ->
+              (* [lag] 0: the protocol's (q, q+1+skip); 1: a lagging
+                 collector one past the last collect; 2: a repeat of the
+                 last collection; 3: the protocol round without a skip. *)
+              let collect, query =
+                match lag with
+                | 0 -> (!q, !q + 1 + skip)
+                | 1 -> (!g + 1, !q + 1 + skip)
+                | 2 -> (!g, !q)
+                | _ -> (!q, !q + 1)
+              in
+              if collect < query then begin
+                Store.gc !s ~collect ~query;
+                Eager.gc m ~collect ~query;
+                g := collect;
+                q := max !q query
+              end
+          | `Restore ->
+              s := Store.restore ~gc_renumber:renumber (Store.snapshot !s));
+          let versions = List.init (!q + 8) (fun i -> i - 4) in
+          if not (store_matches_eager !s m ~keys ~versions) then ok := false)
+        ops;
+      !ok)
+
+(* GC work follows the items written, not the store: with M items loaded,
+   K of them written per round and R rounds, both rules visit the same
+   items — at most the 2K written in the collected and query versions per
+   round — and the untouched items never reach the listener.  (The first
+   collection after the load visits the loaded version once.) *)
+let test_gc_work_bound () =
+  let m = 2000 and k = 10 and r = 25 in
+  let run gc_renumber =
+    let s : int Store.t = Store.create ~bound:3 ~gc_renumber () in
+    for i = 0 to m - 1 do
+      Store.write s (Printf.sprintf "k%04d" i) 0 i
+    done;
+    Store.gc s ~collect:0 ~query:1;
+    let settled = Store.gc_items_visited s in
+    let written = Hashtbl.create 64 and stray = ref 0 in
+    Store.set_listener s
+      (Some (fun key -> if not (Hashtbl.mem written key) then incr stray));
+    for round = 1 to r do
+      (* Updates at u = round + 1, then Phase 3 collects the old query
+         version [round] under the new one. *)
+      for j = 0 to k - 1 do
+        let key = Printf.sprintf "k%04d" (((round * 37) + (j * 101)) mod m) in
+        Hashtbl.replace written key ();
+        Store.write s key (round + 1) j
+      done;
+      Store.gc s ~collect:round ~query:(round + 1)
+    done;
+    check_int
+      (Printf.sprintf "untouched items never notified (renumber %b)" gc_renumber)
+      0 !stray;
+    check_int
+      (Printf.sprintf "all items survive (renumber %b)" gc_renumber)
+      m (Store.item_count s);
+    Store.gc_items_visited s - settled
+  in
+  let renumber = run true and in_place = run false in
+  check_int "renumber visits = in-place visits" in_place renumber;
+  check_bool
+    (Printf.sprintf "visits %d <= R*K*2 = %d" renumber (r * k * 2))
+    true
+    (renumber <= r * k * 2)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "vstore"
@@ -552,6 +771,10 @@ let () =
             test_gc_preserves_newer;
           Alcotest.test_case "skipped query keeps newest" `Quick
             test_gc_skipped_query_keeps_newest;
+          Alcotest.test_case "work follows the items written" `Quick
+            test_gc_work_bound;
+          Alcotest.test_case "collect never goes backwards" `Quick
+            test_gc_collect_backwards_rejected;
         ] );
       ( "properties",
         qc
@@ -561,6 +784,7 @@ let () =
             prop_version_index_consistent;
             prop_gc_rules_read_equivalent;
             prop_store_matches_reference;
+            prop_watermark_matches_eager;
           ] );
     ]
 
