@@ -1,23 +1,19 @@
-(* Benchmark and reproduction harness.
+(* Reproduction harness.
 
    `dune exec bench/main.exe` regenerates every table and figure:
-     table1       — the paper's Table 1 example execution (checked replay)
-     figure1      — the paper's Figure 1 advancement time diagram (measured)
-     invariants   — E3: §6.2 properties under random load
-     staleness    — E4: §8 staleness bounds and sweep
-     comparison   — E5: AVA3 vs the §9 baseline protocols
-     movetofuture — E6: §4 moveToFuture cost, §10 piggyback ablation
-     centralized  — E7: §7 three vs four versions; sync-advancement aborts
+     table1          — the paper's Table 1 example execution (checked replay)
+     figure1         — the paper's Figure 1 advancement time diagram (measured)
      serializability — Theorem 6.2 executable: histories replayed serially
-     ablations    — E8: optimisation flags one by one; version-indexed GC cost
-     scalability  — E9: advancement latency and messages vs cluster size
-     faults       — E10: availability under a deterministic fault schedule
-     micro        — bechamel microbenchmarks of the core operations
+     invariants … e15smoke — the E3–E15 sweeps, Dbsim.Experiment.suites
+     check           — schedule exploration coverage and twin convictions
+     index           — secondary index probe vs full scan, maintenance cost
+     micro           — bechamel microbenchmarks of the core operations
 
-   Pass one of those names as the single argument to run it alone.
-   `--json` additionally writes BENCH_micro.json (micro ns/run, per-suite
+   Pass suite names as arguments to run only those.  `--json`
+   additionally writes BENCH_micro.json (micro ns/run, per-suite
    wall-clock, and the per-node metrics registry of every experiment
    configuration under "experiments") for machine consumption.
+   Throughput is measured by perfbench/, not here.
 
    Experiment sweeps fan out over domains (see Sim.Pool); set
    AVA3_DOMAINS=1 to force sequential runs.  Results are identical at
@@ -151,8 +147,11 @@ let micro_tests =
       bench_centralized_txn;
     ]
 
+(* Operation name and ns/run, for the micro and index tables. *)
+let ns_table title : (string * float) Dbsim.Report.table =
+  { title; columns = Dbsim.Report.[ s "operation" fst; f1 "ns/run" snd ] }
+
 let run_micro () =
-  print_endline "\n== microbenchmarks (bechamel, monotonic clock) ==";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -172,403 +171,7 @@ let run_micro () =
     |> List.sort compare
   in
   micro_rows := estimates;
-  let rows =
-    List.map (fun (name, ns) -> [ name; Printf.sprintf "%.1f" ns ]) estimates
-  in
-  print_string
-    (Dbsim.Report.render ~header:[ "operation"; "ns/run" ] ~rows)
-
-(* ------------------------------------------------------------------ *)
-(* Engine throughput: simulator events/sec on two representative loads *)
-(* ------------------------------------------------------------------ *)
-
-(* name -> (events, best wall-clock seconds, events/sec) *)
-let engine_rows : (string * (int * float * float)) list ref = ref []
-
-(* Pure scheduler churn: hundreds of processes sleeping in loops, so the
-   run is dominated by heap push/pop and the effect-handler resume path.
-   Event count is a pure function of the seed. *)
-let engine_synthetic () =
-  let engine = Sim.Engine.create ~seed:42L ~trace:false () in
-  let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  for _ = 1 to 512 do
-    let first = Sim.Rng.float rng 10.0 in
-    Sim.Engine.schedule engine ~delay:first (fun () ->
-        for _ = 1 to 600 do
-          Sim.Engine.sleep (Sim.Rng.float rng 5.0)
-        done)
-  done;
-  engine
-
-(* Protocol end-to-end: a 64-site cluster running periodic advancement
-   rounds under a spaced update/query load — message delivery, counter
-   waits, WAL appends and advancement barriers all on the hot path. *)
-let engine_cluster () =
-  let engine = Sim.Engine.create ~seed:7L ~trace:false () in
-  let nodes = 64 in
-  let db : int Ava3.Cluster.t = Ava3.Cluster.create ~engine ~nodes () in
-  for n = 0 to nodes - 1 do
-    Ava3.Cluster.load db ~node:n
-      (List.init 8 (fun i -> (Printf.sprintf "n%d-k%d" n i, i)))
-  done;
-  let duration = 1000.0 in
-  Ava3.Cluster.start_periodic_advancement db ~coordinator:0 ~period:20.0
-    ~until:duration;
-  for i = 0 to 1999 do
-    let root = i mod nodes in
-    let remote = (root + 1 + (i mod 7)) mod nodes in
-    Sim.Engine.schedule engine
-      ~delay:(0.5 +. (float_of_int i *. duration /. 2000.0))
-      (fun () ->
-        ignore
-          (Ava3.Txn_core.retry (fun () ->
-               Ava3.Cluster.run_update db ~root
-                 ~ops:
-                   [
-                     Ava3.Update_exec.Write
-                       { node = root; key = Printf.sprintf "n%d-k%d" root (i mod 8); value = i };
-                     Ava3.Update_exec.Write
-                       {
-                         node = remote;
-                         key = Printf.sprintf "n%d-k%d" remote (i mod 8);
-                         value = i;
-                       };
-                   ])))
-  done;
-  for i = 0 to 1199 do
-    let root = (i * 5) mod nodes in
-    Sim.Engine.schedule engine
-      ~delay:(1.0 +. (float_of_int i *. duration /. 1200.0))
-      (fun () ->
-        ignore
-          (Ava3.Cluster.run_query db ~root
-             ~reads:[ (root, Printf.sprintf "n%d-k%d" root (i mod 8)) ]))
-  done;
-  engine
-
-(* Time only [Engine.run]: setup (cluster creation, event scheduling)
-   happens before the clock starts.  Three runs, best wall-clock —
-   event counts are deterministic, so the rate is the only noisy part. *)
-let timed_engine name setup =
-  let best = ref infinity and events = ref 0 in
-  for _ = 1 to 3 do
-    let engine = setup () in
-    let t0 = Unix.gettimeofday () in
-    Sim.Engine.run engine;
-    let dt = Unix.gettimeofday () -. t0 in
-    events := Sim.Engine.events_executed engine;
-    if dt < !best then best := dt
-  done;
-  let rate = float_of_int !events /. !best in
-  engine_rows := !engine_rows @ [ (name, (!events, !best, rate)) ]
-
-(* Crude numeric extraction: the committed baseline is machine-written
-   with unique keys, so "key": <number> lookup is unambiguous. *)
-let find_float_after content key =
-  let klen = String.length key and n = String.length content in
-  let rec search i =
-    if i + klen > n then None
-    else if String.sub content i klen = key then begin
-      let j = ref (i + klen) in
-      while !j < n && (content.[!j] = ' ' || content.[!j] = ':') do incr j done;
-      let k = ref !j in
-      while
-        !k < n
-        && (match content.[!k] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr k
-      done;
-      if !k > !j then float_of_string_opt (String.sub content !j (!k - !j))
-      else None
-    end
-    else search (i + 1)
-  in
-  search 0
-
-let write_engine_json path =
-  let oc = open_out path in
-  let row f = String.concat ",\n" (List.map f !engine_rows) in
-  Printf.fprintf oc
-    "{\n\
-    \  \"events_per_sec\": {\n%s\n  },\n\
-    \  \"events\": {\n%s\n  },\n\
-    \  \"wall_s\": {\n%s\n  }\n\
-     }\n"
-    (row (fun (name, (_, _, r)) -> Printf.sprintf "    \"%s\": %.0f" name r))
-    (row (fun (name, (ev, _, _)) -> Printf.sprintf "    \"%s\": %d" name ev))
-    (row (fun (name, (_, w, _)) -> Printf.sprintf "    \"%s\": %.4f" name w));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-(* Soft regression report: compare against the committed baseline, print
-   the delta, never fail the run — wall-clock rates are machine-relative,
-   so this is a trend signal, not a gate. *)
-let engine_baseline_report () =
-  let baseline = "BENCH_engine_baseline.json" in
-  if Sys.file_exists baseline then begin
-    let ic = open_in_bin baseline in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    List.iter
-      (fun (name, (_, _, rate)) ->
-        match find_float_after content (Printf.sprintf "\"%s\"" name) with
-        | Some base when base > 0.0 ->
-            let delta = (rate -. base) /. base *. 100.0 in
-            Printf.printf
-              "engine %-12s %10.0f events/s vs committed baseline %10.0f \
-               (%+.1f%%)%s\n"
-              name rate base delta
-              (if delta < -20.0 then "  [soft regression: >20% below baseline]"
-               else "")
-        | _ -> ())
-      !engine_rows
-  end
-  else
-    Printf.printf
-      "no %s present; skipping events/sec comparison\n" baseline
-
-let run_engine () =
-  print_endline "\n== engine throughput: simulator events/sec ==";
-  engine_rows := [];
-  timed_engine "synthetic" engine_synthetic;
-  timed_engine "cluster64" engine_cluster;
-  let rows =
-    List.map
-      (fun (name, (ev, wall, rate)) ->
-        [
-          name;
-          string_of_int ev;
-          Printf.sprintf "%.3f" wall;
-          Printf.sprintf "%.0f" rate;
-        ])
-      !engine_rows
-  in
-  print_string
-    (Dbsim.Report.render
-       ~header:[ "load"; "events"; "best wall (s)"; "events/sec" ]
-       ~rows);
-  write_engine_json "BENCH_engine.json";
-  engine_baseline_report ()
-
-(* ------------------------------------------------------------------ *)
-(* Multicore backend throughput: wall-clock ops/sec on real domains    *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike [bench engine] (simulated events per wall-clock second, one
-   domain), this measures the lib/mcore backend executing real protocol
-   operations — latched counter bumps, striped item locks, store reads
-   and writes — across 1/2/4/8 domains.  Each worker performs a fixed
-   per-domain operation count so the offered load scales with the
-   domain count; the interesting number is how ops/sec scales. *)
-
-let mcore_rows : (string * (int * float * float)) list ref = ref []
-
-let mcore_sites = 4
-let mcore_keys_per_site = 64
-
-let mcore_backend () =
-  let b : int Mcore.Backend.t = Mcore.Backend.create ~sites:mcore_sites () in
-  for s = 0 to mcore_sites - 1 do
-    Mcore.Backend.load b ~site:s
-      (List.init mcore_keys_per_site (fun k ->
-           (Printf.sprintf "n%d-k%d" s k, k)))
-  done;
-  b
-
-(* [mk_work domains w d i] performs operation [i] of domain [d]
-   ([mk_work domains] runs once per timed run, so workloads carrying
-   per-run state — the per-domain Rngs feeding the Zipf sampler — start
-   identically each repeat).  Wall-clock covers only the parallel
-   section; backend setup and domain spawn cost stay outside.  Best of
-   three runs, like [timed_engine]. *)
-let timed_mcore name ~domains ~ops_per_domain mk_work =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let b = mcore_backend () in
-    let work = mk_work domains in
-    let body d () =
-      let w = Mcore.Backend.worker b in
-      for i = 0 to ops_per_domain - 1 do
-        work w d i
-      done
-    in
-    let t0 = Unix.gettimeofday () in
-    let workers = Array.init domains (fun d -> Domain.spawn (body d)) in
-    Array.iter Domain.join workers;
-    let dt = Unix.gettimeofday () -. t0 in
-    (match Mcore.Backend.check_quiescent b with
-    | [] -> ()
-    | problems ->
-        List.iter (Printf.eprintf "mcore bench %s: %s\n" name) problems;
-        exit 1);
-    if dt < !best then best := dt
-  done;
-  let total = domains * ops_per_domain in
-  let rate = float_of_int total /. !best in
-  mcore_rows := !mcore_rows @ [ (name, (total, !best, rate)) ]
-
-(* Key choice is Zipf-skewed (rank 0 hottest), not uniform: real traffic
-   concentrates on hot keys, and hot keys are what actually contend on
-   the striped item locks and latched counters.  The [Zipf.t] is an
-   immutable CDF shared by all domains; each domain samples it through
-   its own seeded [Sim.Rng.t], so a run's key stream is deterministic
-   per (domain, seed) regardless of interleaving. *)
-let mcore_zipf_theta = 0.9
-
-let mcore_mk_read_heavy domains =
-  let zipf =
-    Workload.Zipf.create ~n:mcore_keys_per_site ~theta:mcore_zipf_theta
-  in
-  let rngs =
-    Array.init domains (fun d -> Sim.Rng.create (Int64.of_int (0x5eed + d)))
-  in
-  fun w d i ->
-    let rng = rngs.(d) in
-    let root = i mod mcore_sites in
-    let k = Printf.sprintf "n%d-k%d" root (Workload.Zipf.sample zipf rng) in
-    let k' =
-      Printf.sprintf "n%d-k%d"
-        ((root + 1) mod mcore_sites)
-        (Workload.Zipf.sample zipf rng)
-    in
-    ignore
-      (Mcore.Backend.run_query w ~root
-         ~reads:[ (root, k); ((root + 1) mod mcore_sites, k') ]
-        : int Mcore.Backend.query_result)
-
-(* 5% updates in the read stream (same Zipf-hot keys, so writers collide
-   with readers where it matters), with domain 0 initiating an
-   advancement every 512 operations so versions actually move. *)
-let mcore_mk_mixed domains =
-  let read_heavy = mcore_mk_read_heavy domains in
-  let zipf =
-    Workload.Zipf.create ~n:mcore_keys_per_site ~theta:mcore_zipf_theta
-  in
-  let rngs =
-    Array.init domains (fun d -> Sim.Rng.create (Int64.of_int (0xdeed + d)))
-  in
-  fun w d i ->
-    if d = 0 && i mod 512 = 0 then
-      ignore
-        (Mcore.Backend.advance w ~coordinator:0 : [ `Busy | `Completed of int ])
-    else if i mod 20 = 0 then begin
-      let root = i mod mcore_sites in
-      let k =
-        Printf.sprintf "n%d-k%d" root (Workload.Zipf.sample zipf rngs.(d))
-      in
-      ignore
-        (Mcore.Backend.run_update w ~root
-           ~ops:[ (root, Mcore.Backend.Write (k, i)) ]
-          : int Mcore.Backend.outcome)
-    end
-    else read_heavy w d i
-
-let write_mcore_json path =
-  let oc = open_out path in
-  let row f = String.concat ",\n" (List.map f !mcore_rows) in
-  Printf.fprintf oc
-    "{\n\
-    \  \"ops_per_sec\": {\n%s\n  },\n\
-    \  \"ops\": {\n%s\n  },\n\
-    \  \"wall_s\": {\n%s\n  },\n\
-    \  \"cores\": %d\n\
-     }\n"
-    (row (fun (name, (_, _, r)) -> Printf.sprintf "    \"%s\": %.0f" name r))
-    (row (fun (name, (ops, _, _)) -> Printf.sprintf "    \"%s\": %d" name ops))
-    (row (fun (name, (_, w, _)) -> Printf.sprintf "    \"%s\": %.4f" name w))
-    (Domain.recommended_domain_count ());
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-(* Soft gates, mirroring [engine_baseline_report]: wall-clock rates are
-   machine-relative and this repo's CI runners vary, so both the
-   baseline comparison and the scaling check print trend signals and
-   never fail the run. *)
-let mcore_baseline_report () =
-  let baseline = "BENCH_mcore_baseline.json" in
-  if Sys.file_exists baseline then begin
-    let ic = open_in_bin baseline in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    List.iter
-      (fun (name, (_, _, rate)) ->
-        match find_float_after content (Printf.sprintf "\"%s\"" name) with
-        | Some base when base > 0.0 ->
-            let delta = (rate -. base) /. base *. 100.0 in
-            Printf.printf
-              "mcore %-8s %10.0f ops/s vs committed baseline %10.0f (%+.1f%%)%s\n"
-              name rate base delta
-              (if delta < -20.0 then "  [soft regression: >20% below baseline]"
-               else "")
-        | _ -> ())
-      !mcore_rows
-  end
-  else
-    Printf.printf "no %s present; skipping ops/sec comparison\n" baseline
-
-let mcore_scaling_report () =
-  (* Read-heavy throughput should be monotonic from 1 to 4 domains — but
-     only where the hardware can actually run 4 domains in parallel.
-     On smaller machines (including this repo's 1-core CI tier) the
-     check prints what it sees and stays advisory. *)
-  let rate name =
-    match List.assoc_opt name !mcore_rows with
-    | Some (_, _, r) -> r
-    | None -> 0.0
-  in
-  let r1 = rate "read1" and r2 = rate "read2" and r4 = rate "read4" in
-  let cores = Domain.recommended_domain_count () in
-  if cores >= 4 then begin
-    if r1 <= r2 && r2 <= r4 then
-      Printf.printf "mcore scaling: read-heavy monotonic 1->2->4 domains OK\n"
-    else
-      Printf.printf
-        "mcore scaling: NOT monotonic (%.0f -> %.0f -> %.0f ops/s on %d \
-         cores) [soft: investigate]\n"
-        r1 r2 r4 cores
-  end
-  else
-    Printf.printf
-      "mcore scaling: %d core(s) available; monotonicity check skipped \
-       (%.0f -> %.0f -> %.0f ops/s)\n"
-      cores r1 r2 r4
-
-let run_mcore_bench () =
-  print_endline "\n== mcore backend: wall-clock throughput on real domains ==";
-  mcore_rows := [];
-  let ops = try int_of_string (Sys.getenv "AVA3_MCORE_OPS") with _ -> 30_000 in
-  List.iter
-    (fun domains ->
-      timed_mcore
-        (Printf.sprintf "read%d" domains)
-        ~domains ~ops_per_domain:ops mcore_mk_read_heavy)
-    [ 1; 2; 4; 8 ];
-  List.iter
-    (fun domains ->
-      timed_mcore
-        (Printf.sprintf "mixed%d" domains)
-        ~domains ~ops_per_domain:ops mcore_mk_mixed)
-    [ 1; 4 ];
-  let rows =
-    List.map
-      (fun (name, (ops, wall, rate)) ->
-        [
-          name;
-          string_of_int ops;
-          Printf.sprintf "%.3f" wall;
-          Printf.sprintf "%.2f" (rate /. 1e6);
-        ])
-      !mcore_rows
-  in
-  print_string
-    (Dbsim.Report.render
-       ~header:[ "workload"; "ops"; "best wall (s)"; "Mops/s" ]
-       ~rows);
-  write_mcore_json "BENCH_mcore.json";
-  mcore_baseline_report ();
-  mcore_scaling_report ()
+  Dbsim.Report.print (ns_table "microbenchmarks (bechamel, monotonic clock)") estimates
 
 (* ------------------------------------------------------------------ *)
 (* Secondary index: probe vs full scan, and maintenance overhead       *)
@@ -602,7 +205,6 @@ let populated_store () =
   store
 
 let run_index_bench () =
-  print_endline "\n== secondary index: probe vs full scan, maintenance ==";
   index_rows := [];
   let store = populated_store () in
   let ix = Vindex.Index.attach store ~extract:index_extract in
@@ -640,12 +242,9 @@ let run_index_bench () =
   Vindex.Index.detach ix2;
   index_rows :=
     !index_rows @ [ ("maintenance overhead ns/write", with_ix -. plain) ];
-  let rows =
-    List.map
-      (fun (name, ns) -> [ name; Printf.sprintf "%.1f" ns ])
-      !index_rows
-  in
-  print_string (Dbsim.Report.render ~header:[ "operation"; "ns/run" ] ~rows);
+  Dbsim.Report.print
+    (ns_table "secondary index: probe vs full scan, maintenance")
+    !index_rows;
   let oc = open_out "BENCH_index.json" in
   Printf.fprintf oc "{\n  \"index_ns_per_run\": {\n%s\n  }\n}\n"
     (String.concat ",\n"
@@ -695,36 +294,30 @@ let run_figure1 () =
       exit 1
 
 let run_serializability () =
-  print_endline
-    "\n== Theorem 6.2, executable: record histories, replay the claimed \
-     serial order ==";
+  let verdict (v : Dbsim.Serial_check.verdict) =
+    match v.errors with [] -> "serializable" | e :: _ -> "ANOMALY: " ^ e
+  in
   let rows =
     Sim.Pool.map
-      (fun seed ->
-        let v = Dbsim.Serial_check.check ~seed:(Int64.of_int seed) () in
-        [
-          string_of_int seed;
-          string_of_int v.Dbsim.Serial_check.transactions_checked;
-          string_of_int v.Dbsim.Serial_check.queries_checked;
-          (match v.Dbsim.Serial_check.errors with
-          | [] -> "serializable"
-          | e :: _ -> "ANOMALY: " ^ e);
-        ])
+      (fun seed -> (seed, Dbsim.Serial_check.check ~seed:(Int64.of_int seed) ()))
       [ 1; 2; 3; 4; 5 ]
   in
-  print_string
-    (Dbsim.Report.render
-       ~header:[ "seed"; "transactions"; "queries"; "verdict" ]
-       ~rows);
-  if
-    List.exists
-      (fun row -> match row with [ _; _; _; v ] -> v <> "serializable" | _ -> true)
-      rows
-  then exit 1
-
-let run_ablations () =
-  Dbsim.Experiment.print_ablations ();
-  Dbsim.Experiment.print_tree_vs_flat ()
+  Dbsim.Report.print
+    {
+      title =
+        "Theorem 6.2, executable: record histories, replay the claimed serial \
+         order";
+      columns =
+        Dbsim.Report.
+          [
+            i "seed" fst;
+            i "transactions" (fun (_, v) -> v.Dbsim.Serial_check.transactions_checked);
+            i "queries" (fun (_, v) -> v.Dbsim.Serial_check.queries_checked);
+            s "verdict" (fun (_, v) -> verdict v);
+          ];
+    }
+    rows;
+  if List.exists (fun (_, v) -> v.Dbsim.Serial_check.errors <> []) rows then exit 1
 
 (* Schedule exploration (lib/check): per-scenario coverage statistics,
    recorded for the JSON dump under "check".  Self-verifying like the
@@ -744,16 +337,7 @@ let run_check () =
             List.iter (fun m -> Printf.eprintf "  %s\n" m) v.Explorer.v_messages;
             exit 1
         | None -> ());
-        let s = r.Explorer.stats in
-        [
-          sc.Scenario.name;
-          string_of_int s.Explorer.schedules;
-          string_of_int s.Explorer.completed;
-          string_of_int s.Explorer.pruned;
-          string_of_int s.Explorer.distinct_states;
-          string_of_int s.Explorer.max_depth;
-          string_of_bool s.Explorer.exhausted;
-        ])
+        (sc.Scenario.name, r.Explorer.stats))
       [
         Scenarios.race2; Scenarios.mtf_race; Scenarios.crash_advance;
         Scenarios.group_commit_crash; Scenarios.table1_3site;
@@ -762,14 +346,19 @@ let run_check () =
         Scenarios.session_dsl; Scenarios.toy_safe;
       ]
   in
+  let stat header f = Dbsim.Report.i header (fun (_, s) -> f s) in
   print_endline
-    (Dbsim.Report.render
-       ~header:
-         [
-           "scenario"; "schedules"; "completed"; "pruned"; "distinct";
-           "max-depth"; "exhausted";
-         ]
-       ~rows);
+    (Dbsim.Report.grid
+       [
+         Dbsim.Report.s "scenario" fst;
+         stat "schedules" (fun s -> s.Explorer.schedules);
+         stat "completed" (fun s -> s.Explorer.completed);
+         stat "pruned" (fun s -> s.Explorer.pruned);
+         stat "distinct" (fun s -> s.Explorer.distinct_states);
+         stat "max-depth" (fun s -> s.Explorer.max_depth);
+         Dbsim.Report.s "exhausted" (fun (_, s) -> string_of_bool s.Explorer.exhausted);
+       ]
+       rows);
   (* Conviction self-tests: the deliberately broken twins must be caught
      within budget — if the explorer stops finding these bugs, the
      oracles have gone blind. *)
@@ -795,33 +384,9 @@ let run_check () =
     ]
 
 let experiments =
-  [
-    ("table1", run_table1);
-    ("figure1", run_figure1);
-    ("invariants", Dbsim.Experiment.print_invariants);
-    ("staleness", Dbsim.Experiment.print_staleness);
-    ("comparison", Dbsim.Experiment.print_comparison);
-    ("movetofuture", Dbsim.Experiment.print_move_to_future);
-    ("centralized", Dbsim.Experiment.print_centralized);
-    ("serializability", run_serializability);
-    ("ablations", run_ablations);
-    ("scalability", Dbsim.Experiment.print_scalability);
-    ("e12", fun () -> Dbsim.Experiment.print_hierarchy ());
-    ("e12smoke", fun () -> Dbsim.Experiment.print_hierarchy ~sizes:[ 256 ] ());
-    ("faults", Dbsim.Experiment.print_faults);
-    ("batching", Dbsim.Experiment.print_batching);
-    ("e13", fun () -> Dbsim.Experiment.print_replication ());
-    ("e13smoke", fun () -> Dbsim.Experiment.print_replication ~horizon:300.0 ());
-    ("e14", fun () -> Dbsim.Experiment.print_analytical ());
-    ("e14smoke", fun () -> Dbsim.Experiment.print_analytical ~horizon:300.0 ());
-    ("e15", fun () -> Dbsim.Experiment.print_session_retry ());
-    ("e15smoke", fun () -> Dbsim.Experiment.print_session_retry ~horizon:300.0 ());
-    ("check", run_check);
-    ("index", run_index_bench);
-    ("micro", run_micro);
-    ("engine", run_engine);
-    ("mcore", run_mcore_bench);
-  ]
+  [ ("table1", run_table1); ("figure1", run_figure1); ("serializability", run_serializability) ]
+  @ Dbsim.Experiment.suites
+  @ [ ("check", run_check); ("index", run_index_bench); ("micro", run_micro) ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver: per-suite wall-clock, optional JSON dump                    *)

@@ -191,7 +191,7 @@ let relay_ack_up cs i r =
 let relay_maybe_complete cs i r =
   if
     (not r.r_acked) && r.r_self_done
-    && (cs.config.Config.relay_ack_early || all_acked r.r_child_acks)
+    && (cs.config.Config.twin = Some Config.Relay_ack_early || all_acked r.r_child_acks)
   then relay_ack_up cs i r
 
 (* Launch one phase of a hierarchical round: the coordinator takes its own

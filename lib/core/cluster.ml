@@ -196,7 +196,7 @@ let recover cs ~node:i =
       ~disk_force_latency:cs.Cluster_state.config.Config.disk_force_latency
       ~group_commit_window:cs.Cluster_state.config.Config.group_commit_window
       ~group_commit_batch:cs.Cluster_state.config.Config.group_commit_batch
-      ~gc_ack_early:cs.Cluster_state.config.Config.gc_ack_early
+      ~gc_ack_early:(cs.Cluster_state.config.Config.twin = Some Config.Gc_ack_early)
       ~metrics:cs.Cluster_state.metrics ~bound ~log ~store
       ~u:versions.Wal.Recovery.update_version
       ~q:versions.Wal.Recovery.query_version

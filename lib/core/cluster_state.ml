@@ -88,7 +88,7 @@ let create ~engine ~config ~nodes ?(latency = Net.Latency.Constant 1.0)
       ~disk_force_latency:config.Config.disk_force_latency
       ~group_commit_window:config.Config.group_commit_window
       ~group_commit_batch:config.Config.group_commit_batch
-      ~gc_ack_early:config.Config.gc_ack_early ~metrics ()
+      ~gc_ack_early:(config.Config.twin = Some Config.Gc_ack_early) ~metrics ()
   in
   let repl =
     {

@@ -4,6 +4,39 @@
     the defaults give the base protocol of §3, so ablation experiments can
     toggle one flag at a time. *)
 
+(** Checker-only bug twins: each deliberately breaks one protocol step so
+    the model checker (lib/check) can prove its oracles still convict the
+    bug.  They are not protocol knobs; set one only in a [-buggy]
+    scenario. *)
+type twin =
+  | Gc_ack_early
+      (** Acknowledge group-commit waiters as soon as their records are
+          queued, {e before} the force ({!Wal.Group_commit.create}'s
+          [ack_early]).  A crash between the ack and the force then loses
+          an acknowledged commit: [group-commit-crash-buggy]. *)
+  | Relay_ack_early
+      (** A relay acknowledges upward as soon as its {e own} local work
+          is durable, before its subtree has acknowledged, so the
+          coordinator can freeze a version while a descendant still runs
+          updates in it: [relay-ack-early-buggy]. *)
+  | Replica_ack_early
+      (** A backup acknowledges a shipped batch, and bumps its visible
+          version counters, on receipt, {e before} applying the data
+          records; version-pinned reads then miss committed writes:
+          [replica-ack-early-buggy].  Requires [replicas > 0]. *)
+  | Index_skip_visibility
+      (** Secondary-index probes skip the pinned-version visibility check
+          and serve each candidate's {e newest} entry.  Indistinguishable
+          at quiescence, but a commit or moveToFuture landing between pin
+          and probe makes the probe disagree with the full scan:
+          [index-skip-mtf-buggy]. *)
+  | Savepoint_leak
+      (** A savepoint rollback restores the write-set but forgets to
+          release the locks first acquired inside the rolled-back scope
+          ({!Subtxn.rollback_to}).  Serializability survives, but
+          workloads that are deadlock-free under clean rollback deadlock:
+          [savepoint-leak-buggy]. *)
+
 type t = {
   scheme : Wal.Scheme.kind;
       (** Recovery scheme, which determines the moveToFuture implementation
@@ -74,14 +107,6 @@ type t = {
   group_commit_batch : int;
       (** Force early once this many committers are queued (only
           meaningful with a nonzero window).  Default [64]. *)
-  gc_ack_early : bool;
-      (** Fault injection for the model checker: acknowledge group-commit
-          waiters as soon as their records are queued, {e before} the
-          force ({!Wal.Group_commit.create}'s [ack_early]).  A crash
-          between the ack and the force then loses an acknowledged
-          commit — the bug the [group-commit-crash-buggy] scenario exists
-          to catch.  Never enable outside the checker.  Default
-          [false]. *)
   rpc_batch_window : float;
       (** Per-destination message-coalescing window for the network
           ({!Net.Network.create}'s [batch_window]).  Default [0.] — every
@@ -108,13 +133,6 @@ type t = {
           writes, transaction roots, and query roots never run at data-empty
           sites — excluding a site that can start transactions or queries
           would break the freeze barrier.  Default [false]. *)
-  relay_ack_early : bool;
-      (** Fault injection for the model checker: a relay acknowledges
-          upward as soon as its {e own} local work is durable, before its
-          subtree has acknowledged — the coordinator can then freeze a
-          version while a descendant still runs updates in it, the bug the
-          [relay-ack-early-buggy] scenario convicts.  Never enable outside
-          the checker.  Default [false]. *)
   replicas : int;
       (** Per-partition primary–backup replication: each partition (the
           [~nodes] of [Cluster.create]) gets this many backup sites that
@@ -135,27 +153,11 @@ type t = {
           to [rpc_batch_window], but at the replication layer, so one
           window covers many commits).  [0.] (default) ships on every
           commit/advancement poke. *)
-  replica_ack_early : bool;
-      (** Fault injection for the model checker: a backup acknowledges a
-          shipped batch — and bumps its visible version counters — on
-          receipt, {e before} applying the data records.  Version-pinned
-          routing then believes it is caught up and reads miss committed
-          writes, the bug the [replica-ack-early-buggy] scenario convicts.
-          Never enable outside the checker.  Default [false]. *)
   join_partitions : int;
       (** Bucket count of the grace hash join operator
           ({!Query_exec.run_join}).  Purely an execution-shape knob: the
           join output is sorted, so any partition count produces identical
           results.  Must be [>= 1]; default [8]. *)
-  index_skip_visibility : bool;
-      (** Fault injection for the model checker: secondary-index probes
-          skip the pinned-version visibility check and serve each
-          candidate's {e newest} entry instead.  Indistinguishable at
-          quiescence — the newest entry is the pinned one once the system
-          drains — but a commit or moveToFuture landing between pin and
-          probe makes the probe disagree with the full-scan plan at the
-          same pinned version, the bug the [index-skip-mtf-buggy] scenario
-          convicts.  Never enable outside the checker.  Default [false]. *)
   max_retries : int;
       (** Session layer ({!Session}): how many times [Session.txn] re-runs
           a client function after a retryable failure ([Aborted],
@@ -171,14 +173,9 @@ type t = {
           pinned coordinator node, and [Session.txn] checks one out per
           attempt (round-robin over the cluster, skipping sites that
           rejected with [Root_down]).  Must be [>= 1]; default [4]. *)
-  savepoint_leak : bool;
-      (** Fault injection for the model checker: a savepoint rollback
-          restores the write-set but {e forgets to release} the locks first
-          acquired inside the rolled-back scope ({!Subtxn.rollback_to}).
-          Serializability survives (2PL only over-locks) but workloads that
-          are deadlock-free under clean rollback now deadlock and abort —
-          the bug the [savepoint-leak-buggy] scenario convicts.  Never
-          enable outside the checker.  Default [false]. *)
+  twin : twin option;
+      (** The checker-only bug twin to run with, if any.  Default
+          [None]. *)
 }
 
 val default : t

@@ -36,7 +36,7 @@ val create :
     {!Wal.Group_commit}; with the defaults, {!commit_durable} is free and
     a crash loses no log records.  [gc_ack_early] (default [false]) is the
     checker's deliberately broken ack-before-force mode (see
-    {!Config.t.gc_ack_early}).  Completed forces are recorded into
+    {!Config.Gc_ack_early}).  Completed forces are recorded into
     [metrics] when given. *)
 
 val id : _ t -> int
@@ -159,10 +159,6 @@ val create_recovered :
     and version numbers survive, the counters restart at zero (the paper's
     rule — all in-flight transactions died with the crash). *)
 
-val reset_volatile : _ t -> unit
-(** Simulate loss of main memory: zero every counter (in-flight transactions
-    are aborted separately by the caller). *)
-
 val active_update_transactions : _ t -> int
 (** Update subtransactions currently counted at this node (any version). *)
 
@@ -175,5 +171,3 @@ val try_checkpoint : _ t -> bool
 val fresh_txn_id : _ t -> int
 (** Node-local transaction id allocator (ids are globally unique across a
     cluster because they embed the node id). *)
-
-val pp_summary : Format.formatter -> _ t -> unit

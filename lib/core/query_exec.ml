@@ -85,7 +85,7 @@ let require_index nd =
    is oracle overhead, not workload. *)
 let select_local cs ~(plan : select_plan) nd ~lo ~hi v =
   let read_service = cs.config.Config.read_service_time in
-  let skip = cs.config.Config.index_skip_visibility in
+  let skip = cs.config.Config.twin = Some Config.Index_skip_visibility in
   Sim.Engine.sleep read_service;
   let ix = require_index nd in
   match plan with

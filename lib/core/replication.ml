@@ -22,7 +22,7 @@ let recovered_node cs ~site ~log ~store ~(versions : Wal.Recovery.versions) =
       ~disk_force_latency:cs.config.Config.disk_force_latency
       ~group_commit_window:cs.config.Config.group_commit_window
       ~group_commit_batch:cs.config.Config.group_commit_batch
-      ~gc_ack_early:cs.config.Config.gc_ack_early ~metrics:cs.metrics
+      ~gc_ack_early:(cs.config.Config.twin = Some Config.Gc_ack_early) ~metrics:cs.metrics
       ~bound:(store_bound cs) ~log ~store
       ~u:versions.Wal.Recovery.update_version
       ~q:versions.Wal.Recovery.query_version
@@ -40,7 +40,7 @@ let fresh_node cs ~site =
       ~disk_force_latency:cs.config.Config.disk_force_latency
       ~group_commit_window:cs.config.Config.group_commit_window
       ~group_commit_batch:cs.config.Config.group_commit_batch
-      ~gc_ack_early:cs.config.Config.gc_ack_early ~metrics:cs.metrics ()
+      ~gc_ack_early:(cs.config.Config.twin = Some Config.Gc_ack_early) ~metrics:cs.metrics ()
   in
   attach_index_if_configured cs nd;
   nd
@@ -125,7 +125,7 @@ let apply_batch cs b nd records =
      (the primary already paid the force before shipping them). *)
   Wal.Log.mark_all_durable (Node_state.log nd)
 
-(* The deliberately broken twin ([Config.replica_ack_early]): acknowledge
+(* The deliberately broken twin ([Config.Replica_ack_early]): acknowledge
    — and bump the visible version counters that version-pinned routing
    trusts — on receipt, then apply the data records only after a delay.
    Reads routed here during the window miss committed writes. *)
@@ -146,7 +146,7 @@ let receive_ack_early cs b nd fresh =
   if Node_state.alive nd && node cs b.b_site == nd then apply_batch cs b nd fresh
 
 let receive cs b nd fresh =
-  if fresh <> [] && cs.config.Config.replica_ack_early then
+  if fresh <> [] && cs.config.Config.twin = Some Config.Replica_ack_early then
     receive_ack_early cs b nd fresh
   else begin
     apply_batch cs b nd fresh;

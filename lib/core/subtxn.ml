@@ -204,10 +204,10 @@ let rollback_to cs t sp =
   (* Locks first acquired inside the rolled-back scope are released so the
      items become re-acquirable (pre-scope locks — including those upgraded
      inside the scope — are conservatively kept: a pre-scope read stays
-     protected).  The [savepoint_leak] twin forgets this release: the
+     protected).  The [Savepoint_leak] twin forgets this release: the
      rolled-back scope's items stay locked, manufacturing deadlocks the
      clean rollback makes impossible. *)
-  if not cs.config.Config.savepoint_leak then
+  if cs.config.Config.twin <> Some Config.Savepoint_leak then
     List.iter
       (fun key ->
         Lockmgr.Lock_table.release_one (Node_state.locks t.sub_node)

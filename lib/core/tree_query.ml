@@ -62,7 +62,7 @@ let run cs ~plan =
             in
             let rows =
               Vindex.Index.probe
-                ~skip_visibility:cs.config.Config.index_skip_visibility ix ~lo
+                ~skip_visibility:(cs.config.Config.twin = Some Config.Index_skip_visibility) ix ~lo
                 ~hi v
             in
             Sim.Engine.sleep (read_service *. float_of_int (List.length rows));

@@ -1,8 +1,10 @@
-(** Experiment drivers for the paper's measurable claims (DESIGN.md E3–E7).
+(** Experiment drivers for the paper's measurable claims (DESIGN.md E3–E15).
 
-    Each function runs a self-contained simulation (deterministic under its
-    seed) and returns structured results; [print_*] renders the same data as
-    the tables in EXPERIMENTS.md. *)
+    Every sweep is a declared {!Report.table} — a title and
+    [(header, cell)] columns — over the rows its runs return; {!suites}
+    runs and prints them as the tables in EXPERIMENTS.md.  Each run is a
+    self-contained simulation, deterministic under its seed.  The
+    structured results below are the ones the tests read. *)
 
 (** {1 E3 — §6.2 invariants under load} *)
 
@@ -16,7 +18,6 @@ type invariants_run = {
 }
 
 val invariants : ?seed:int64 -> nodes:int -> duration:float -> unit -> invariants_run
-val print_invariants : unit -> unit
 
 (** {1 E4 — §8 staleness vs advancement period} *)
 
@@ -49,22 +50,6 @@ type staleness_bound = {
 
 val staleness_bound : ?seed:int64 -> ?long_txn_duration:float -> unit -> staleness_bound
 
-type continuous_point = {
-  query_duration : float;
-  cont_mean : float;
-  cont_p95 : float;
-  cont_max : float;
-  rounds : int;  (** back-to-back advancement rounds completed *)
-}
-
-val continuous_staleness :
-  ?seed:int64 -> ?durations:float list -> ?domains:int -> unit -> continuous_point list
-(** §8 limiting mode: with advancements running back to back, a query's
-    snapshot is stale by at most (roughly) the age of the longest query
-    running when it started. *)
-
-val print_staleness : unit -> unit
-
 (** {1 E5 — protocol comparison on one workload} *)
 
 type comparison_row = {
@@ -84,23 +69,8 @@ type comparison_row = {
 
 val comparison :
   ?seed:int64 -> ?duration:float -> ?domains:int -> unit -> comparison_row list
-val print_comparison : unit -> unit
 
 (** {1 E6 — moveToFuture frequency and cost} *)
-
-type mtf_row = {
-  scheme_name : string;
-  piggyback : bool;
-  advancement_period : float;
-  commits : int;
-  mtf_data : int;
-  mtf_commit : int;
-  mtf_trivial : int;
-  items_copied : int;
-}
-
-val move_to_future :
-  ?seed:int64 -> ?duration:float -> ?domains:int -> unit -> mtf_row list
 
 type piggyback_run = {
   staged : int;  (** transactions engineered to straddle an advancement *)
@@ -109,7 +79,7 @@ type piggyback_run = {
 }
 
 val piggyback_targeted : ?seed:int64 -> unit -> piggyback_run
-val print_move_to_future : unit -> unit
+val piggyback_table : piggyback_run Report.table
 
 (** {1 E7 — three vs four versions; synchronous advancement aborts} *)
 
@@ -133,7 +103,6 @@ type sync_aborts = {
 }
 
 val sync_advancement_aborts : ?seed:int64 -> unit -> sync_aborts
-val print_centralized : unit -> unit
 
 (** {1 E8 — ablations and GC cost} *)
 
@@ -163,24 +132,7 @@ val gc_cost : ?seed:int64 -> ?domains:int -> unit -> gc_cost_row list
     the read-equivalent in-place rule, both version-indexed, against the
     naive full-scan cost. *)
 
-val print_ablations : unit -> unit
-
-(** {1 E9 — scalability} *)
-
-type scalability_row = {
-  sc_nodes : int;
-  sc_advancement_latency : float;
-  sc_messages_per_round : float;
-  sc_commits : int;
-  sc_staleness : float;
-}
-
-val scalability : ?seed:int64 -> ?domains:int -> unit -> scalability_row list
-(** Advancement latency and message cost as the cluster grows (per-node
-    workload held constant): messages grow linearly (5n per round), latency
-    stays bounded by in-flight transaction residuals, not by n. *)
-
-val print_scalability : unit -> unit
+val gc_cost_table : gc_cost_row Report.table
 
 type tree_vs_flat_row = {
   fanout : int;
@@ -192,197 +144,17 @@ val tree_vs_flat : ?seed:int64 -> ?domains:int -> unit -> tree_vs_flat_row list
 (** Transaction latency of the sequential flat executor vs the concurrent
     R*-style tree executor as the number of remote participants grows. *)
 
-val print_tree_vs_flat : unit -> unit
+val tree_vs_flat_table : tree_vs_flat_row Report.table
 
-(** {1 E10 — availability under faults} *)
+(** {1 Registry} *)
 
-type faults_row = {
-  fl_scenario : string;
-  fl_commits : int;
-  fl_aborts : int;
-  fl_timeout_aborts : int;  (** of the aborts, those from RPC timeouts *)
-  fl_queries_ok : int;
-  fl_queries_failed : int;
-  fl_advancements : int;
-  fl_max_adv_gap : float;
-      (** largest observed gap between advancement completions — the
-          availability cost of the fault schedule *)
-  fl_violations : int;  (** §6.2 invariant violations across all probes *)
-}
-
-val faults : ?seed:int64 -> ?domains:int -> unit -> faults_row list
-(** A 3-node cluster under a seeded {!Net.Nemesis} schedule (crashes with
-    WAL recovery, partitions, slow links), timeout-based RPC failure
-    detection, and continuous invariant probes.  The fault schedule is a
-    pure function of the seed, so rows are identical at any domain
-    width.  Expected shape: queries never block on advancement,
-    advancement stalls stay bounded by the initiation beat plus the
-    repair time, and no probe ever reports a violation. *)
-
-val print_faults : unit -> unit
-
-(** {1 E11 — commit-path batching} *)
-
-type batching_row = {
-  bt_label : string;
-  bt_gc_window : float;  (** group-commit window (0 = one force per commit) *)
-  bt_rpc_window : float;  (** per-destination RPC coalescing window *)
-  bt_commits : int;
-  bt_throughput : float;  (** commits per virtual second *)
-  bt_commit_mean : float;
-  bt_commit_p95 : float;
-  bt_disk_forces : int;
-  bt_records_per_force : float;  (** achieved group-commit batch size *)
-  bt_envelopes : int;
-      (** transport events on the wire; coalescing packs several message
-          legs into one *)
-  bt_messages : int;  (** logical message legs (constant across rows) *)
-}
-
-val batching : ?seed:int64 -> ?domains:int -> unit -> batching_row list
-(** A fixed workload (3 nodes, 6 clients/node, 24 two-site updates each)
-    with a nonzero disk force latency, swept over batching windows under
-    one seed.  Row ["off"] (both windows 0) is the per-commit-force,
-    per-message-envelope baseline; every row commits the same
-    transactions, so forces, envelopes and the makespan-derived
-    throughput compare directly.  A small window dominates the baseline
-    on all three; oversized windows keep shrinking the I/O counts but
-    trade commit latency for it, dragging closed-loop throughput back
-    down. *)
-
-val print_batching : unit -> unit
-
-(** {1 E12 — hierarchical advancement at scale} *)
-
-type hierarchy_row = {
-  hr_nodes : int;
-  hr_mode : string;  (** ["flat"], ["tree-8"], or ["tree-8+pa"] *)
-  hr_rounds : int;  (** advancement rounds completed *)
-  hr_phase1_mean : float;
-  hr_phase2_mean : float;
-  hr_coord_egress : float;
-      (** messages the (data-free) coordinator put on the wire per round —
-          O(n) flat, O(arity) hierarchical *)
-  hr_commits : int;
-  hr_aborts : int;
-  hr_mtf : int;
-  hr_events_per_sec : float;  (** simulator events per wall-clock second *)
-}
-
-val hierarchy :
-  ?seed:int64 -> ?sizes:int list -> unit -> hierarchy_row list
-(** Sweep cluster sizes (default 64/256/1024) under a hot-partition
-    (Zipf 0.9 over the n/8 data sites), arrival-storm workload, comparing
-    flat advancement against a tree of arity 8 with and without
-    partition-aware participant sets.  Rows run sequentially so the
-    events/sec column reflects single-domain wall-clock. *)
-
-val print_hierarchy : ?sizes:int list -> unit -> unit
-
-(** {1 E13 — replication: pinned backup reads under faults} *)
-
-type replication_row = {
-  rp_replicas : int;
-  rp_queries_ok : int;
-  rp_queries_failed : int;
-  rp_read_tput : float;  (** completed queries per unit virtual time *)
-  rp_backup_reads : int;  (** remote reads the router sent to backups *)
-  rp_stale_mean : float;
-      (** observed staleness: age of each query's snapshot version at
-          the query's completion instant *)
-  rp_stale_p95 : float;
-  rp_stale_max : float;
-  rp_commits : int;
-  rp_aborts : int;
-  rp_demotions : int;
-  rp_promotions : int;
-  rp_advancements : int;
-  rp_violations : int;
-}
-
-val replication :
-  ?seed:int64 -> ?horizon:float -> ?domains:int -> unit -> replication_row list
-(** Replica counts 0/1/2 on 3 partitions under one seeded fault schedule
-    (2 primary crashes, 2 link partitions): closed-loop cross-partition
-    queries measure read throughput and observed staleness as replicas
-    are added; promotions, demotions and invariant probes come along.
-    With [replicas = 0] the fault schedule makes whole partitions
-    unreadable; backups turn those outages into routed reads. *)
-
-val print_replication : ?horizon:float -> unit -> unit
-(** E13 as a table; [horizon] shortens the run for CI smoke. *)
-
-(** {1 E14 — secondary indexes: indexed vs full-scan analytical mix} *)
-
-type analytical_row = {
-  an_plan : string;  (** ["index"], ["full-scan"] or ["both-check"] *)
-  an_commits : int;
-  an_aborts : int;
-  an_queries_ok : int;
-  an_scans : int;
-  an_joins : int;
-  an_scan_mean : float;
-  an_scan_p95 : float;
-  an_join_mean : float;
-  an_join_tput : float;  (** completed joins per 100 time units *)
-  an_stale_mean : float;
-      (** slow full scans hold query counters longer, delaying Phase 2 —
-          the access path shows up as snapshot age *)
-  an_stale_max : float;
-  an_index_updates : int;  (** index maintenance operations, all sites *)
-  an_index_probes : int;
-  an_advancements : int;
-  an_violations : int;
-}
-
-val analytical :
-  ?seed:int64 -> ?horizon:float -> ?domains:int -> unit -> analytical_row list
-(** The same generated analytical mix (updates + point queries + 30%
-    attribute-range scans + 10% hash joins, periodic advancement) under
-    each access-path plan.  Identical seeds mean identical workloads, and
-    because AVA3 updates never wait for queries, the commit/abort
-    counters must be identical across plans — the scan/join latency and
-    the observed staleness are what the plan moves.  The [both-check] row
-    doubles as the equivalence oracle: every select runs the index probe
-    and the full scan back to back and raises on divergence. *)
-
-val print_analytical : ?horizon:float -> unit -> unit
-(** E14 as a table; [horizon] shortens the run for CI smoke.  Raises
-    [Failure] if the update-stream counters drift across plans or any
-    invariant check fails. *)
-
-(** {1 E15 — session layer: goodput and wasted work vs retry policy} *)
-
-type session_row = {
-  sn_policy : string;
-      (** ["no-retry"], ["retry-2"], ["retry-5"] or ["retry-5-eager"]
-          (zero backoff) *)
-  sn_committed : int;
-  sn_failed : int;  (** retry budget exhausted or not retryable *)
-  sn_attempts : int;  (** total attempts, retries included *)
-  sn_wasted : int;
-      (** attempts that did not end in a commit — locks taken, RPCs sent
-          and log records written for nothing *)
-  sn_retries : int;
-  sn_backoff : float;  (** total virtual time slept in backoff *)
-  sn_rollbacks : int;  (** savepoint rollbacks, expect-abort scopes included *)
-  sn_queries_ok : int;
-  sn_query_failures : int;
-  sn_goodput : float;  (** committed transactions per 100 time units *)
-  sn_violations : int;  (** invariant probe hits plus a stalled-run flag *)
-}
-
-val session_retry :
-  ?seed:int64 -> ?horizon:float -> ?domains:int -> unit -> session_row list
-(** The same seeded session-layer client mix ({!Session.Dsl.gen} programs
-    with savepoint scopes and expect-abort rollbacks) under each retry
-    policy, against one nemesis fault schedule (2 crashes, 2 partitions,
-    1 slow link) with advancement beats underneath.  All randomness comes
-    from named forks of the engine's root stream, so every row faces the
-    identical workload and faults; only [max_retries] and
-    [retry_backoff_base] differ. *)
-
-val print_session_retry : ?horizon:float -> unit -> unit
-(** E15 as a table; [horizon] shortens the run for CI smoke.  Raises
-    [Failure] if the per-policy program counts drift, an invariant probe
-    fires, or a run fails to drain. *)
+val suites : (string * (unit -> unit)) list
+(** Every sweep by name, in presentation order, smoke variants included:
+    [invariants] (E3), [staleness] (E4), [comparison] (E5),
+    [movetofuture] (E6), [centralized] (E7), [ablations] (E8),
+    [scalability] (E9), [e12]/[e12smoke], [faults] (E10), [batching]
+    (E11), [e13]/[e13smoke], [e14]/[e14smoke] and [e15]/[e15smoke].
+    Running one prints its tables.  E14 and E15 raise [Failure] when their
+    cross-row checks fail: update-stream counters that drift across
+    access-path plans, program counts that drift across retry policies,
+    an invariant probe that fires, or a run that does not drain. *)

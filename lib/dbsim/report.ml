@@ -1,7 +1,3 @@
-let f1 v = Printf.sprintf "%.1f" v
-let f2 v = Printf.sprintf "%.2f" v
-let i v = string_of_int v
-
 let render ~header ~rows =
   let all = header :: rows in
   let columns = List.length header in
@@ -32,8 +28,27 @@ let render ~header ~rows =
   in
   line header ^ rule ^ String.concat "" (List.map line rows)
 
-let print ~title ~header ~rows =
-  Printf.printf "\n== %s ==\n%s%!" title (render ~header ~rows)
+(* ------------------------------------------------------------------ *)
+(* Declared tables                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type 'r column = string * ('r -> string)
+type 'r table = { title : string; columns : 'r column list }
+
+let s header cell = (header, cell)
+let i header cell = (header, fun r -> string_of_int (cell r))
+let f1 header cell = (header, fun r -> Printf.sprintf "%.1f" (cell r))
+let f2 header cell = (header, fun r -> Printf.sprintf "%.2f" (cell r))
+let yes_no header cell = (header, fun r -> if cell r then "yes" else "no")
+
+let grid columns rows =
+  render ~header:(List.map fst columns)
+    ~rows:(List.map (fun r -> List.map (fun (_, cell) -> cell r) columns) rows)
+
+let to_string t rows = Printf.sprintf "\n== %s ==\n%s" t.title (grid t.columns rows)
+let print t rows =
+  print_string (to_string t rows);
+  flush stdout
 
 (* ------------------------------------------------------------------ *)
 (* Experiment metrics sink                                             *)

@@ -1,16 +1,34 @@
-(** Plain-text table rendering for experiment reports. *)
+(** Plain-text tables for experiment reports. *)
 
 val render : header:string list -> rows:string list list -> string
 (** Aligned columns, a rule under the header. *)
 
-val print : title:string -> header:string list -> rows:string list list -> unit
-(** Render to stdout with a title banner. *)
+(** {1 Declared tables}
 
-val f1 : float -> string
+    A table is declared once as its title and its columns; each column
+    pairs a header with the cell it labels, computed from a row value. *)
+
+type 'r column = string * ('r -> string)
+type 'r table = { title : string; columns : 'r column list }
+
+val s : string -> ('r -> string) -> 'r column
+val i : string -> ('r -> int) -> 'r column
+
+val f1 : string -> ('r -> float) -> 'r column
 (** One decimal place. *)
 
-val f2 : float -> string
-val i : int -> string
+val f2 : string -> ('r -> float) -> 'r column
+
+val yes_no : string -> ('r -> bool) -> 'r column
+
+val grid : 'r column list -> 'r list -> string
+(** The rows rendered under the columns' headers, without a title. *)
+
+val to_string : 'r table -> 'r list -> string
+(** A blank line, the [== title ==] banner, then {!grid}. *)
+
+val print : 'r table -> 'r list -> unit
+(** {!to_string} to stdout, flushed. *)
 
 (** {1 Experiment metrics sink}
 

@@ -114,7 +114,7 @@ let probe_impl ~skip_visibility t ~lo ~hi cands version =
   Sset.fold
     (fun pkey acc ->
       let value =
-        (* The deliberately broken twin ([Config.index_skip_visibility])
+        (* The deliberately broken twin ([Config.Index_skip_visibility])
            skips the pinned-version visibility check and serves the newest
            entry instead.  Indistinguishable at quiescence (newest = pinned
            once u = q+1 and the round drained), convicted by the explorer

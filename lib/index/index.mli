@@ -39,7 +39,7 @@ val probe :
 (** [probe t ~lo ~hi v]: every (key, value) visible at version [v] whose
     extracted attribute is in [\[lo, hi\]], ascending by key.
     [skip_visibility] (default [false]) is the deliberately broken twin
-    behind {!Config.t.index_skip_visibility}: it serves the newest entry
+    behind [Config.Index_skip_visibility]: it serves the newest entry
     instead of the pinned version — indistinguishable at quiescence,
     convicted by the schedule explorer under a racing commit or
     moveToFuture ([index-skip-mtf-buggy]). *)

@@ -53,18 +53,17 @@ type 'v t = {
   registry_latch : Latch.t;
   mutable registries : Sim.Metrics.t list;
   (* Fault injection for the conformance harness (the mcore analogue of
-     Config.gc_ack_early): query begin reads q and bumps the counter
+     Config.Gc_ack_early): query begin reads q and bumps the counter
      WITHOUT the latch, with a widened read-modify-write window.  The
      divergence harness must convict this twin.  Never enable outside
      tests. *)
-  skip_query_latch : bool;
-  race_window : int;
+  query_race : int option;  (* spins in the widened window *)
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
 let create ?(buckets = 64) ?(lock_stripes = 1024) ?(gc_renumber = true)
-    ?(skip_query_latch = false) ?(race_window = 2000) ~sites () =
+    ?query_race ~sites () =
   if sites < 1 then invalid_arg "Backend.create: need at least one site";
   let stripes = pow2_at_least (max 1 lock_stripes) 1 in
   let mk_site site_id =
@@ -95,8 +94,7 @@ let create ?(buckets = 64) ?(lock_stripes = 1024) ?(gc_renumber = true)
     txn_seq = Atomic.make 1;
     registry_latch = Latch.create ();
     registries = [];
-    skip_query_latch;
-    race_window;
+    query_race;
   }
 
 let site_count t = Array.length t.sites
@@ -406,29 +404,29 @@ type 'v query_result = {
 
 (* The begin-step of §3.3 is the latched {v := q; queryCount[v]++} — the
    exact operation the paper insists needs only a latch, not a lock.
-   The buggy twin (skip_query_latch) performs the bump as a naked
+   The buggy twin ([query_race]) performs the bump as a naked
    read-modify-write with a widened window: on deterministic
    single-domain schedules it is indistinguishable from the real thing,
    and only the concurrent divergence harness can convict it. *)
 let query_begin b s =
-  if b.skip_query_latch then begin
-    let v, c =
-      (* Table lookup still latched (an unprotected Hashtbl would be
-         structurally unsafe); only the increment itself races. *)
-      Latch.with_latch s.counters (fun () -> (s.q, counter s.query_counts s.q))
-    in
-    let cur = !c in
-    for _ = 1 to b.race_window do
-      Domain.cpu_relax ()
-    done;
-    c := cur + 1;
-    v
-  end
-  else
-    Latch.with_latch s.counters (fun () ->
-        let v = s.q in
-        incr (counter s.query_counts v);
-        v)
+  match b.query_race with
+  | Some spins ->
+      let v, c =
+        (* Table lookup still latched (an unprotected Hashtbl would be
+           structurally unsafe); only the increment itself races. *)
+        Latch.with_latch s.counters (fun () -> (s.q, counter s.query_counts s.q))
+      in
+      let cur = !c in
+      for _ = 1 to spins do
+        Domain.cpu_relax ()
+      done;
+      c := cur + 1;
+      v
+  | None ->
+      Latch.with_latch s.counters (fun () ->
+          let v = s.q in
+          incr (counter s.query_counts v);
+          v)
 
 let run_query w ~root ~reads =
   let b = w.b in

@@ -28,8 +28,7 @@ val create :
   ?buckets:int ->
   ?lock_stripes:int ->
   ?gc_renumber:bool ->
-  ?skip_query_latch:bool ->
-  ?race_window:int ->
+  ?query_race:int ->
   sites:int ->
   unit ->
   'v t
@@ -38,10 +37,10 @@ val create :
     [bound = 3] store.  [buckets] and [lock_stripes] set the store and
     item-lock striping grain per site.
 
-    [skip_query_latch] is fault injection for the divergence harness
-    (the mcore analogue of [Config.gc_ack_early]): the query-begin
-    counter bump becomes a naked read-modify-write widened by
-    [race_window] spins.  Correct on any single-domain schedule;
+    [query_race] is fault injection for the divergence harness (the
+    mcore analogue of an [Ava3.Config.twin]): when given, the
+    query-begin counter bump becomes a naked read-modify-write widened
+    by that many spins.  Correct on any single-domain schedule;
     convictable only by concurrent execution.  Never enable outside
     tests. *)
 

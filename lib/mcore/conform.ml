@@ -183,9 +183,9 @@ let run_des ?(gc_renumber = true) w =
 
 (* ---- The domains side -------------------------------------------------- *)
 
-let run_mcore ?(gc_renumber = true) ?(skip_query_latch = false) w =
+let run_mcore ?(gc_renumber = true) ?query_race w =
   let b : int Backend.t =
-    Backend.create ~gc_renumber ~skip_query_latch ~sites:w.sites ()
+    Backend.create ~gc_renumber ?query_race ~sites:w.sites ()
   in
   List.iter (fun (site, items) -> Backend.load b ~site items) w.preload;
   let wk = Backend.worker b in
@@ -269,10 +269,10 @@ let stats_of_run r =
     }
     r.observations
 
-let check ?(gc_renumber = true) ?(skip_query_latch = false) ?events ~seed () =
+let check ?(gc_renumber = true) ?query_race ?events ~seed () =
   let w = generate ?events ~seed () in
   let des = run_des ~gc_renumber w in
-  let mc = run_mcore ~gc_renumber ~skip_query_latch w in
+  let mc = run_mcore ~gc_renumber ?query_race w in
   match diff ~des ~mcore:mc with
   | [] -> Ok (stats_of_run des)
   | problems -> Error problems
@@ -280,7 +280,7 @@ let check ?(gc_renumber = true) ?(skip_query_latch = false) ?events ~seed () =
 (* ---- Convicting the latch-skipping twin -------------------------------- *)
 
 (* The twin is sequentially indistinguishable from the real backend (and
-   [check ~skip_query_latch:true] passing is itself part of the test:
+   [check ~query_race] passing is itself part of the test:
    sequential conformance must NOT convict it).  Under real parallelism
    its naked read-modify-write loses counter increments; since the
    decrements stay latched, a lost increment surfaces either as an
@@ -294,7 +294,7 @@ let check ?(gc_renumber = true) ?(skip_query_latch = false) ?events ~seed () =
 let convict_racy_twin ?(domains = 4) ?(iters_per_domain = 50_000)
     ?(time_budget = 10.0) () =
   let b : int Backend.t =
-    Backend.create ~sites:1 ~skip_query_latch:true ~race_window:2000 ()
+    Backend.create ~sites:1 ~query_race:2000 ()
   in
   Backend.load b ~site:0 [ ("x", 1) ];
   let convicted = Atomic.make 0 in

@@ -56,7 +56,7 @@ type run = {
 }
 
 val run_des : ?gc_renumber:bool -> workload -> run
-val run_mcore : ?gc_renumber:bool -> ?skip_query_latch:bool -> workload -> run
+val run_mcore : ?gc_renumber:bool -> ?query_race:int -> workload -> run
 
 val diff : des:run -> mcore:run -> string list
 (** Human-readable divergences, empty when the runs agree. *)
@@ -76,13 +76,13 @@ type stats = {
 
 val check :
   ?gc_renumber:bool ->
-  ?skip_query_latch:bool ->
+  ?query_race:int ->
   ?events:int ->
   seed:int ->
   unit ->
   (stats, string list) result
-(** Generate, run through both backends, diff.  [skip_query_latch]
-    applies to the mcore side only — [check ~skip_query_latch:true]
+(** Generate, run through both backends, diff.  [query_race] (see
+    {!Backend.create}) applies to the mcore side only — [check ~query_race]
     passing is part of the twin's specification (the bug is invisible
     to any sequential schedule). *)
 
@@ -95,7 +95,7 @@ val convict_racy_twin :
   unit ->
   string list
 (** Hammer one site's query counter from several domains with
-    [skip_query_latch] enabled and return the evidence of lost counter
+    [query_race] set and return the evidence of lost counter
     increments (negative-counter exceptions observed, plus
     [Backend.check_quiescent] residue).  An empty list means the twin
     escaped conviction — the calling test should fail. *)

@@ -105,12 +105,8 @@ val total_version_mismatches : t -> int
 val total_advancements : t -> int
 val total_rpc_calls : t -> int
 val total_rpc_timeouts : t -> int
-val total_envelopes : t -> int
 val total_disk_forces : t -> int
 val total_records_forced : t -> int
-val total_savepoint_rollbacks : t -> int
-val total_session_retries : t -> int
-val total_session_backoff : t -> float
 
 (** {1 Snapshots} *)
 

@@ -56,9 +56,6 @@ type report = {
   generated_duration : float;
 }
 
-val update_throughput : report -> float
-val query_throughput : report -> float
-
 val arrival_times :
   Sim.Rng.t ->
   rate:float ->

@@ -112,9 +112,9 @@ let test_replication_knobs () =
   check_bool "coalesced shipping fine" false
     (rejected { C.default with replicas = 1; replica_ship_window = 2.0 });
   check_bool "ack-early without replicas rejected" true
-    (rejected { C.default with replica_ack_early = true });
+    (rejected { C.default with twin = Some C.Replica_ack_early });
   check_bool "ack-early twin with replicas fine" false
-    (rejected { C.default with replicas = 1; replica_ack_early = true })
+    (rejected { C.default with replicas = 1; twin = Some C.Replica_ack_early })
 
 let test_session_knobs () =
   check_bool "negative max_retries rejected" true
@@ -134,7 +134,7 @@ let test_session_knobs () =
   check_bool "negative pool rejected" true
     (rejected { C.default with session_pool_size = -3 });
   check_bool "leak twin knob is a valid (deliberately broken) config" false
-    (rejected { C.default with savepoint_leak = true })
+    (rejected { C.default with twin = Some C.Savepoint_leak })
 
 let test_message_names_knob () =
   (* The error text must name the offending knob so a CLI user can act
@@ -168,7 +168,7 @@ let test_message_names_knob () =
        (msg { C.default with replica_ship_window = -2.0 })
        "replica_ship_window");
   check_bool "names replica_ack_early" true
-    (contains (msg { C.default with replica_ack_early = true }) "replica_ack_early");
+    (contains (msg { C.default with twin = Some C.Replica_ack_early }) "replica_ack_early");
   check_bool "names max_retries" true
     (contains (msg { C.default with max_retries = -1 }) "max_retries");
   check_bool "names retry_backoff_base" true

@@ -191,6 +191,63 @@ let test_tree_vs_flat_latency () =
         (last.Dbsim.Experiment.flat_latency
         > 3.0 *. first.Dbsim.Experiment.flat_latency)
 
+(* {1 Golden output}
+
+   The E6b, E8b and E8c tables rendered through their declared columns,
+   byte for byte as the bench harness printed them before the sweeps
+   became declared tables.  All three runs are cheap and deterministic. *)
+
+let lines l = String.concat "\n" l ^ "\n"
+
+let check_table name expected actual = Alcotest.(check string) name expected actual
+
+let test_golden_e6b () =
+  check_table "E6b"
+    (lines
+       [
+         "";
+         "== E6b: §10 piggyback on transactions that straddle an advancement ==";
+         "staged straddlers  commit-mtf (plain)  commit-mtf (piggyback)";
+         "-----------------  ------------------  ----------------------";
+         "20                 20                  0";
+       ])
+    (Dbsim.Report.to_string Dbsim.Experiment.piggyback_table
+       [ Dbsim.Experiment.piggyback_targeted () ])
+
+let test_golden_e8b () =
+  check_table "E8b"
+    (lines
+       [
+         "";
+         "== E8b: Phase-3 GC work, version-indexed (50 of 5000 items written \
+          per round) ==";
+         "gc rule           store items  gc rounds  items visited  full-scan \
+          equivalent";
+         "----------------  -----------  ---------  -------------  \
+          --------------------";
+         "renumber (paper)  5000         10         5900           50000";
+         "in-place          5000         10         5900           50000";
+       ])
+    (Dbsim.Report.to_string Dbsim.Experiment.gc_cost_table
+       (Dbsim.Experiment.gc_cost ()))
+
+let test_golden_e8c () =
+  check_table "E8c"
+    (lines
+       [
+         "";
+         "== E8c: flat vs R*-tree transaction execution (latency 2.0/hop, one \
+          write per node) ==";
+         "remote nodes  flat latency  tree latency";
+         "------------  ------------  ------------";
+         "1             12.0          8.0";
+         "2             24.0          8.0";
+         "4             48.0          8.0";
+         "8             96.0          8.0";
+       ])
+    (Dbsim.Report.to_string Dbsim.Experiment.tree_vs_flat_table
+       (Dbsim.Experiment.tree_vs_flat ()))
+
 (* {1 Serializability checking (Theorem 6.2, executable)} *)
 
 let test_serializability_default () =
@@ -247,5 +304,11 @@ let () =
             test_ablations_consistent;
           Alcotest.test_case "E8b gc cost rules" `Quick test_gc_cost_rules;
           Alcotest.test_case "E8c tree vs flat" `Quick test_tree_vs_flat_latency;
+        ] );
+      ( "golden output",
+        [
+          Alcotest.test_case "E6b table" `Quick test_golden_e6b;
+          Alcotest.test_case "E8b table" `Quick test_golden_e8b;
+          Alcotest.test_case "E8c table" `Quick test_golden_e8c;
         ] );
     ]

@@ -237,7 +237,7 @@ let test_conformance_sequential_cannot_convict_twin () =
   (* The latch-skipping twin is CORRECT on every deterministic schedule:
      sequential conformance passing against it is part of its spec (the
      injected bug is a pure race). *)
-  match Mcore.Conform.check ~skip_query_latch:true ~seed:3 () with
+  match Mcore.Conform.check ~query_race:2000 ~seed:3 () with
   | Ok _ -> ()
   | Error problems ->
       Alcotest.fail
