@@ -104,6 +104,7 @@ let alive t = t.is_alive
    every existing experiment was built on). *)
 let kill t =
   t.is_alive <- false;
+  Lockmgr.Lock_table.retire t.lk;
   Wal.Group_commit.crash t.gcd;
   if Wal.Group_commit.active t.gcd then
     ignore (Wal.Log.drop_volatile t.wal : int)

@@ -132,9 +132,10 @@ val alive : _ t -> bool
     orphan kept only so that in-flight transactions fail cleanly. *)
 
 val kill : _ t -> unit
-(** Crash the node: mark it dead, fail every committer parked in group
-    commit, and — when the durability model is active — discard the log's
-    volatile tail, exactly as a power cut would. *)
+(** Crash the node: mark it dead, retire its lock table from deadlock
+    detection, fail every committer parked in group commit, and — when the
+    durability model is active — discard the log's volatile tail, exactly
+    as a power cut would. *)
 
 val create_recovered :
   engine:Sim.Engine.t ->

@@ -18,35 +18,53 @@ type lock = {
 type t = {
   table : (string, lock) Hashtbl.t;
   owned : (int, (string, unit) Hashtbl.t) Hashtbl.t;
-  peers : t list ref; (* all tables sharing deadlock detection, incl. self *)
-  mutable live_waiters : int;
-      (* live queued requests in this table; lets the group-wide cycle
-         check skip the (at scale, vast) majority of tables with nobody
-         waiting instead of folding over every peer's whole key table *)
+  group : group;
+  mutable retired : bool; (* see [retire] *)
   mutable waits : int;
   mutable deadlocks : int;
   mutable total_wait_time : float;
 }
 
-type group = t list ref
+(* Every live queued request of the group's unretired tables, by owner.
+   Deadlock detection reads a waiter's edges from here, so a cycle check
+   costs what the waiters touch, not the size of any table. *)
+and group = (int, (t * lock * waiter) list) Hashtbl.t
 
-let new_group () : group = ref []
+let new_group () : group = Hashtbl.create 64
 
 let create ?group () =
-  let peers = match group with Some g -> g | None -> ref [] in
-  let t =
-    {
-      table = Hashtbl.create 1024;
-      owned = Hashtbl.create 64;
-      peers;
-      live_waiters = 0;
-      waits = 0;
-      deadlocks = 0;
-      total_wait_time = 0.0;
-    }
-  in
-  peers := t :: !peers;
-  t
+  {
+    table = Hashtbl.create 1024;
+    owned = Hashtbl.create 64;
+    group = (match group with Some g -> g | None -> new_group ());
+    retired = false;
+    waits = 0;
+    deadlocks = 0;
+    total_wait_time = 0.0;
+  }
+
+let index_waiter t lock w =
+  let reqs = Option.value (Hashtbl.find_opt t.group w.w_owner) ~default:[] in
+  Hashtbl.replace t.group w.w_owner ((t, lock, w) :: reqs)
+
+(* A waiter stops waiting: granted, or denied as the deadlock requester. *)
+let settle t w =
+  w.w_live <- false;
+  match Hashtbl.find_opt t.group w.w_owner with
+  | None -> ()
+  | Some reqs -> (
+      match List.filter (fun (_, _, w') -> w' != w) reqs with
+      | [] -> Hashtbl.remove t.group w.w_owner
+      | reqs -> Hashtbl.replace t.group w.w_owner reqs)
+
+let retire t =
+  t.retired <- true;
+  Hashtbl.filter_map_inplace
+    (fun _ reqs ->
+      match List.filter (fun (t', _, _) -> t' != t) reqs with
+      | [] -> None
+      | reqs -> Some reqs)
+    t.group
 
 let get_lock t key =
   match Hashtbl.find_opt t.table key with
@@ -115,55 +133,37 @@ let rec try_grant t lock =
       end
       else if compatible lock ~owner:w.w_owner ~mode:w.w_mode then begin
         lock.queue <- rest;
-        w.w_live <- false;
-        t.live_waiters <- t.live_waiters - 1;
+        settle t w;
         add_holder lock ~owner:w.w_owner ~mode:w.w_mode;
         w.w_resume `Granted;
         try_grant t lock
       end
 
-(* Wait-for edges of [owner] within one table: if it has a live queued
-   request on some key, it waits for conflicting holders of that key and for
-   conflicting live waiters queued ahead of it. *)
-let local_wait_for_edges t owner =
-  Hashtbl.fold
-    (fun _key lock acc ->
-      let rec scan ahead = function
-        | [] -> acc
-        | w :: _ when w.w_live && w.w_owner = owner ->
-            let held =
-              List.filter_map
-                (fun (o, m) ->
-                  if o <> owner && (w.w_mode = Exclusive || m = Exclusive)
-                  then Some o
-                  else None)
-                lock.holders
-            in
-            let queued =
-              List.filter_map
-                (fun a ->
-                  if
-                    a.w_live && a.w_owner <> owner
-                    && (w.w_mode = Exclusive || a.w_mode = Exclusive)
-                  then Some a.w_owner
-                  else None)
-                (List.rev ahead)
-            in
-            held @ queued @ acc
-        | w :: rest -> scan (w :: ahead) rest
-      in
-      scan [] lock.queue)
-    t.table []
-
-(* A transaction may wait at any node of the group while holding locks at
-   others, so edges are the union over all peer tables.  Only tables with a
-   live waiter can contribute an edge — skipping the rest keeps the cycle
-   check O(contended tables), not O(cluster size), per DFS node. *)
-let wait_for_edges t owner =
-  List.concat_map
-    (fun peer ->
-      if peer.live_waiters = 0 then [] else local_wait_for_edges peer owner)
-    !(t.peers)
+(* Wait-for edges of [owner]: on each lock it has a live queued request
+   on, it waits for the conflicting holders and the conflicting live
+   waiters queued ahead of it.  Only the owner's first live waiter on a
+   lock counts.  A transaction may wait at any node of the group while
+   holding locks at others, so the index spans every table in the group. *)
+let wait_for_edges group owner =
+  let edges acc (_, lock, w) =
+    let conflicts m = w.w_mode = Exclusive || m = Exclusive in
+    let rec scan ahead = function
+      | a :: _ when a != w && a.w_live && a.w_owner = owner -> acc
+      | a :: rest when a != w ->
+          scan
+            (if a.w_live && conflicts a.w_mode then a.w_owner :: ahead
+             else ahead)
+            rest
+      | _ ->
+          List.fold_left
+            (fun acc (o, m) -> if o <> owner && conflicts m then o :: acc else acc)
+            ahead lock.holders
+    in
+    scan acc lock.queue
+  in
+  match Hashtbl.find_opt group owner with
+  | None -> []
+  | Some reqs -> List.fold_left edges [] reqs
 
 (* Would granting-by-waiting create a cycle through [start]?  DFS over the
    wait-for graph derived from the current group state. *)
@@ -179,7 +179,7 @@ let creates_cycle t ~start =
           Hashtbl.replace visited next ();
           dfs next
         end)
-      (wait_for_edges t owner)
+      (wait_for_edges t.group owner)
   in
   dfs start
 
@@ -217,14 +217,16 @@ let acquire t ~owner ~key mode =
               in
               if is_upgrade lock owner mode then lock.queue <- w :: lock.queue
               else lock.queue <- lock.queue @ [ w ];
-              t.live_waiters <- t.live_waiters + 1;
-              if creates_cycle t ~start:owner then begin
-                (* Deny instead of blocking forever: the requester is the
-                   transaction closing the cycle. *)
-                w.w_live <- false;
-                t.live_waiters <- t.live_waiters - 1;
-                t.deadlocks <- t.deadlocks + 1;
-                resume `Deadlock
+              (* A retired table's requests wait unseen by the detector. *)
+              if not t.retired then begin
+                index_waiter t lock w;
+                if creates_cycle t ~start:owner then begin
+                  (* Deny instead of blocking forever: the requester is the
+                     transaction closing the cycle. *)
+                  settle t w;
+                  t.deadlocks <- t.deadlocks + 1;
+                  resume `Deadlock
+                end
               end)
         in
         t.total_wait_time <-
@@ -270,9 +272,9 @@ let release_shared t ~owner =
 
 let waiting_requests t =
   Hashtbl.fold
-    (fun _ lock acc ->
-      acc + List.length (List.filter (fun w -> w.w_live) lock.queue))
-    t.table 0
+    (fun _ reqs n ->
+      List.fold_left (fun n (t', _, _) -> if t' == t then n + 1 else n) n reqs)
+    t.group 0
 
 let iter_locked t f =
   Hashtbl.iter

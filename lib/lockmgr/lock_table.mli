@@ -28,6 +28,11 @@ val new_group : unit -> group
 val create : ?group:group -> unit -> t
 (** A table created without a group detects only local deadlocks. *)
 
+val retire : t -> unit
+(** Take a crashed node's table out of deadlock detection: its queued
+    requests, and any it queues later, stop contributing wait-for edges.
+    They still wait, and are granted only by releases on this table. *)
+
 val acquire : t -> owner:int -> key:string -> mode -> outcome
 (** Block until granted or until the request is refused because it would
     deadlock.  Re-acquiring a mode already held (or acquiring S while
@@ -51,7 +56,7 @@ val release_shared : t -> owner:int -> unit
 (** {1 Statistics} *)
 
 val waiting_requests : t -> int
-(** Live queued requests right now. *)
+(** Live queued requests right now (none once retired). *)
 
 val iter_locked : t -> (string -> (int * mode) list -> (int * mode) list -> unit) -> unit
 (** [f key holders waiters] for every key with any holder or live waiter. *)

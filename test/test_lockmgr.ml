@@ -255,6 +255,182 @@ let test_waiting_requests_count () =
          done));
   check_int "queue drained" 0 (Lt.waiting_requests lt)
 
+(* Owner 1 holds k1 on T1 and waits on k2 on T2, which owner 2 holds; then
+   owner 2 requests k1 on T1.  With T2 alive that is a real deadlock.  Once
+   T2's node has crashed and the table is retired, owner 1's stranded
+   request must not close a cycle: owner 2 waits, and is granted when
+   owner 1 releases on T1. *)
+let retired_table_scenario ~retire =
+  let group = Lt.new_group () in
+  let t1 = Lt.create ~group () and t2 = Lt.create ~group () in
+  let outcome = ref None in
+  ignore
+    (in_sim (fun e ->
+         Sim.Engine.spawn e (fun () ->
+             ignore (Lt.acquire t1 ~owner:1 ~key:"k1" Lt.Exclusive);
+             Sim.Engine.sleep 1.0;
+             ignore (Lt.acquire t2 ~owner:1 ~key:"k2" Lt.Exclusive));
+         Sim.Engine.spawn e (fun () ->
+             ignore (Lt.acquire t2 ~owner:2 ~key:"k2" Lt.Exclusive);
+             Sim.Engine.sleep 2.0;
+             if retire then begin
+               Lt.retire t2;
+               check_int "retired table reports no waiters" 0
+                 (Lt.waiting_requests t2)
+             end;
+             let r = Lt.acquire t1 ~owner:2 ~key:"k1" Lt.Exclusive in
+             outcome := Some (r, Sim.Engine.now (Sim.Engine.current ())));
+         Sim.Engine.schedule e ~delay:10.0 (fun () ->
+             Lt.release_all t1 ~owner:1)));
+  (!outcome, Lt.deadlocks t1 + Lt.deadlocks t2)
+
+let test_retired_table_leaves_detection () =
+  (match retired_table_scenario ~retire:false with
+  | Some (`Deadlock, at), 1 ->
+      Alcotest.(check (float 1e-9)) "live table: denied at once" 2.0 at
+  | _ -> Alcotest.fail "the cycle through a live table must be denied");
+  match retired_table_scenario ~retire:true with
+  | Some (`Granted, at), 0 ->
+      Alcotest.(check (float 1e-9)) "granted at owner 1's release" 10.0 at
+  | Some (`Deadlock, _), _ -> Alcotest.fail "false deadlock via retired table"
+  | _ -> Alcotest.fail "owner 2 was never granted"
+
+(* Differential oracle for deadlock verdicts.  A schedule runs random
+   requests and releases over three grouped tables.  Right before each
+   request the test builds the wait-for graph itself from [iter_locked]
+   (holders, plus live waiters in queue order, plus the new request where
+   the table will queue it) and predicts the verdict: a request that has
+   to wait is denied exactly when that graph has a cycle through it. *)
+
+type oracle_op = Acquire of Lt.mode | Release_all | Release_one | Release_shared
+
+let conflict m m' = m = Lt.Exclusive || m' = Lt.Exclusive
+
+(* Each owner's first live waiter on a key waits for the conflicting
+   holders and the conflicting live waiters queued ahead of it. *)
+let key_edges holders waiters =
+  let rec go seen ahead acc = function
+    | [] -> acc
+    | (o, m) :: rest ->
+        let on =
+          List.filter_map (fun (o', m') ->
+              if o' <> o && conflict m m' then Some (o, o') else None)
+        in
+        let acc = if List.mem o seen then acc else on holders @ on ahead @ acc in
+        go (o :: seen) (ahead @ [ (o, m) ]) acc rest
+  in
+  go [] [] [] waiters
+
+let graph_with_request tables ~table ~owner ~key mode =
+  let edges = ref [] and seen = ref false in
+  let place holders waiters =
+    let upgrade =
+      mode = Lt.Exclusive
+      && List.mem (owner, Lt.Shared) holders
+      && not (List.mem (owner, Lt.Exclusive) holders)
+    in
+    if upgrade then (owner, mode) :: waiters else waiters @ [ (owner, mode) ]
+  in
+  Array.iteri
+    (fun i lt ->
+      Lt.iter_locked lt (fun k holders waiters ->
+          let waiters =
+            if i = table && k = key then begin
+              seen := true;
+              place holders waiters
+            end
+            else waiters
+          in
+          edges := key_edges holders waiters @ !edges))
+    tables;
+  if not !seen then edges := key_edges [] (place [] []) @ !edges;
+  !edges
+
+let cycle_through edges start =
+  let succ o = List.filter_map (fun (a, b) -> if a = o then Some b else None) edges in
+  let rec reach seen = function
+    | [] -> seen
+    | o :: rest ->
+        if List.mem o seen then reach seen rest else reach (o :: seen) (succ o @ rest)
+  in
+  List.mem start (reach [] (succ start))
+
+(* Returns (verdicts that disagree with the graph, deadlocks, waited grants). *)
+let run_oracle_schedule script =
+  let group = Lt.new_group () in
+  let tables = Array.init 3 (fun _ -> Lt.create ~group ()) in
+  let e = Sim.Engine.create () in
+  let wrong = ref 0 and deadlocks = ref 0 and waited_grants = ref 0 in
+  List.iteri
+    (fun i (owner, table, key_i, op) ->
+      let lt = tables.(table) and key = Printf.sprintf "k%d" key_i in
+      Sim.Engine.schedule e ~delay:(float_of_int i *. 0.5) (fun () ->
+          match op with
+          | Acquire mode -> (
+              let expected =
+                cycle_through (graph_with_request tables ~table ~owner ~key mode) owner
+              in
+              let before = Sim.Engine.events_executed e in
+              match Lt.acquire lt ~owner ~key mode with
+              | `Deadlock ->
+                  incr deadlocks;
+                  if not expected then incr wrong;
+                  Array.iter (fun lt -> Lt.release_all lt ~owner) tables
+              | `Granted ->
+                  if Sim.Engine.events_executed e > before then begin
+                    incr waited_grants;
+                    if expected then incr wrong
+                  end)
+          | Release_all -> Lt.release_all lt ~owner
+          | Release_one -> Lt.release_one lt ~owner ~key
+          | Release_shared -> Lt.release_shared lt ~owner))
+    script;
+  Sim.Engine.run e;
+  (!wrong, !deadlocks, !waited_grants)
+
+let oracle_script =
+  QCheck.(
+    list_of_size (Gen.int_range 10 60)
+      (quad (int_range 1 6) (int_range 0 2) (int_range 1 3)
+         (make
+            ~print:(function
+              | Acquire Lt.Shared -> "S"
+              | Acquire Lt.Exclusive -> "X"
+              | Release_all -> "release_all"
+              | Release_one -> "release_one"
+              | Release_shared -> "release_shared")
+            Gen.(
+              frequency
+                [
+                  (3, return (Acquire Lt.Shared));
+                  (4, return (Acquire Lt.Exclusive));
+                  (1, return Release_all);
+                  (1, return Release_one);
+                  (1, return Release_shared);
+                ]))))
+
+let prop_deadlock_verdicts_match_graph =
+  QCheck.Test.make ~name:"deadlock verdicts match the wait-for graph"
+    ~count:300 oracle_script (fun script ->
+      let wrong, _, _ = run_oracle_schedule script in
+      wrong = 0)
+
+(* The oracle is only as good as the verdicts it sees: over a fixed set of
+   schedules both outcomes of a wait must occur. *)
+let test_oracle_sees_both_verdicts () =
+  let rand = Random.State.make [| 15 |] in
+  let wrong = ref 0 and deadlocks = ref 0 and grants = ref 0 in
+  List.iter
+    (fun script ->
+      let w, d, g = run_oracle_schedule script in
+      wrong := !wrong + w;
+      deadlocks := !deadlocks + d;
+      grants := !grants + g)
+    (QCheck.Gen.generate ~rand ~n:100 (QCheck.gen oracle_script));
+  check_int "verdicts disagreeing with the graph" 0 !wrong;
+  check_bool "some waits denied" true (!deadlocks > 0);
+  check_bool "some waits granted" true (!grants > 0)
+
 (* Property: random lock/release scripts never hang (every process ends)
    and grants never produce an incompatible holder set. *)
 let prop_no_incompatible_holders =
@@ -316,6 +492,10 @@ let () =
             test_ungrouped_tables_blind;
           Alcotest.test_case "waiting requests count" `Quick
             test_waiting_requests_count;
+          Alcotest.test_case "retired table leaves detection" `Quick
+            test_retired_table_leaves_detection;
+          Alcotest.test_case "oracle sees both verdicts" `Quick
+            test_oracle_sees_both_verdicts;
         ] );
       ( "release",
         [
@@ -324,5 +504,7 @@ let () =
           Alcotest.test_case "wait time accounting" `Quick
             test_wait_time_accounting;
         ] );
-      ("properties", qc [ prop_no_incompatible_holders ]);
+      ( "properties",
+        qc [ prop_no_incompatible_holders; prop_deadlock_verdicts_match_graph ]
+      );
     ]
